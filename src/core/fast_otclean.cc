@@ -2,10 +2,13 @@
 
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
 #include <optional>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/hash.h"
@@ -15,20 +18,20 @@
 #include "linalg/simd_exp.h"
 #include "linalg/thread_pool.h"
 #include "linalg/transport_kernel.h"
-#include "linalg/transport_kernel_f32.h"
 #include "nmf/kl_nmf.h"
 
 namespace otclean::core {
 
 namespace {
 
-/// Holds whichever kernel storage the truncation × domain options select,
-/// built ONCE per repair — cost and ε are invariant across the outer
-/// loop, so each outer step only reruns the (warm-started) scaling loop.
-/// Four storages plug in behind one surface: dense/CSR × linear/log. In
+/// The outer loop's kernel, built ONCE per repair — cost and ε are
+/// invariant across the outer loop, so each outer step only reruns the
+/// (warm-started) scaling loop. One kernel of the shape the truncation ×
+/// domain options select (dense/CSR × linear/log) sits behind this
+/// surface, at the storage scalar `options.precision` names. In
 /// log-domain mode the "potentials" threaded through the outer loop (and
-/// its warm starts) are LOG-potentials; the struct is the only place that
-/// needs to know.
+/// its warm starts) are LOG-potentials; the implementation is the only
+/// place that needs to know.
 ///
 /// The truncated paths are cost-free in the O(rows×cols) sense: the
 /// kernel is built by streaming the CostProvider tile-by-tile, and every
@@ -36,334 +39,247 @@ namespace {
 /// the dense cost matrix is materialized exclusively for the dense
 /// linear path (the dense log kernel streams the provider straight into
 /// L = −C/ε).
-struct OuterLoopKernel {
-  std::optional<linalg::DenseTransportKernel> dense;
-  std::optional<linalg::SparseTransportKernel> sparse;
-  std::optional<linalg::DenseLogTransportKernel> log_dense;
-  std::optional<linalg::SparseLogTransportKernel> log_sparse;
-  /// f32 storage tier (options.precision == kFloat32): same four shapes,
-  /// float-held kernel values, double accumulation. Exactly one of the
-  /// eight is engaged.
-  std::optional<linalg::DenseTransportKernelF32> dense_f32;
-  std::optional<linalg::SparseTransportKernelF32> sparse_f32;
-  std::optional<linalg::DenseLogTransportKernelF32> log_dense_f32;
-  std::optional<linalg::SparseLogTransportKernelF32> log_sparse_f32;
-  /// Sparse paths only: C gathered once at the kernel's support (O(nnz)),
-  /// so the outer loop's repeated ⟨C, π⟩ evaluations never re-invoke the
-  /// cost function. shared_ptr-held so the solve cache can hand one
-  /// gather to every job sharing the kernel.
-  std::shared_ptr<const std::vector<double>> support_costs;
-  /// Dense linear path only (null otherwise): the materialized cost,
-  /// used for the zero-copy TransportCost fast path (shared like the
-  /// kernel).
-  std::shared_ptr<const linalg::Matrix> cost_matrix;
-  /// Dense log path only: borrowed provider for streamed ⟨C, π⟩.
-  const linalg::CostProvider* cost_provider = nullptr;
-  /// True when every storage came out of the solve cache (nothing was
+class OuterLoopKernel {
+ public:
+  OuterLoopKernel() = default;
+  OuterLoopKernel(const OuterLoopKernel&) = delete;
+  OuterLoopKernel& operator=(const OuterLoopKernel&) = delete;
+  virtual ~OuterLoopKernel() = default;
+
+  virtual bool log_domain() const = 0;
+  virtual size_t nnz() const = 0;
+  /// True when the kernel storage came out of the solve cache (nothing was
   /// streamed or exponentiated for this repair).
-  bool kernel_hit = false;
-
-  /// `cache` (nullable) with an invalid `key` is a silent no-op, so the
-  /// uncached construction path is unchanged. A hit adopts the cached
-  /// storages — the same bytes the miss built, hence bit-identical
-  /// arithmetic; a miss builds and publishes them.
-  OuterLoopKernel(const linalg::CostProvider& cost,
-                  const FastOtCleanOptions& options, linalg::ThreadPool* pool,
-                  SolveCache* cache, const SolveCacheKey& key) {
-    const bool truncated = options.kernel_truncation > 0.0;
-    const bool f32 = options.precision == linalg::Precision::kFloat32;
-    std::optional<CachedKernel> hit;
-    if (cache != nullptr) hit = cache->FindKernel(key);
-    if (options.log_domain && truncated) {
-      if (f32) {
-        if (hit && hit->sparse_f32) {
-          kernel_hit = true;
-          log_sparse_f32.emplace(linalg::SparseLogTransportKernelF32(
-              hit->sparse_f32, options.num_threads, pool));
-          support_costs = hit->support_costs;
-        } else {
-          log_sparse_f32.emplace(linalg::SparseLogTransportKernelF32::FromCost(
-              cost, options.epsilon, options.kernel_truncation,
-              options.num_threads, pool));
-        }
-        if (!support_costs) {
-          support_costs = std::make_shared<const std::vector<double>>(
-              log_sparse_f32->GatherSupportCosts(cost));
-        }
-      } else if (hit && hit->sparse) {
-        kernel_hit = true;
-        log_sparse.emplace(linalg::SparseLogTransportKernel(
-            hit->sparse, options.num_threads, pool));
-        support_costs = hit->support_costs;
-      } else {
-        log_sparse.emplace(linalg::SparseLogTransportKernel::FromCost(
-            cost, options.epsilon, options.kernel_truncation,
-            options.num_threads, pool));
-      }
-      if (!support_costs && log_sparse) {
-        support_costs = std::make_shared<const std::vector<double>>(
-            log_sparse->GatherSupportCosts(cost));
-      }
-    } else if (options.log_domain) {
-      if (f32) {
-        if (hit && hit->dense_f32) {
-          kernel_hit = true;
-          log_dense_f32.emplace(linalg::DenseLogTransportKernelF32(
-              hit->dense_f32, options.num_threads, pool));
-        } else {
-          log_dense_f32.emplace(linalg::DenseLogTransportKernelF32::FromCost(
-              cost, options.epsilon, options.num_threads, pool));
-        }
-      } else if (hit && hit->dense) {
-        kernel_hit = true;
-        log_dense.emplace(linalg::DenseLogTransportKernel(
-            hit->dense, options.num_threads, pool));
-      } else {
-        log_dense.emplace(linalg::DenseLogTransportKernel::FromCost(
-            cost, options.epsilon, options.num_threads, pool));
-      }
-      cost_provider = &cost;
-    } else if (truncated) {
-      if (f32) {
-        if (hit && hit->sparse_f32) {
-          kernel_hit = true;
-          sparse_f32.emplace(linalg::SparseTransportKernelF32(
-              hit->sparse_f32, options.num_threads, pool));
-          support_costs = hit->support_costs;
-        } else {
-          sparse_f32.emplace(linalg::SparseTransportKernelF32::FromCost(
-              cost, options.epsilon, options.kernel_truncation,
-              options.num_threads, pool));
-        }
-        if (!support_costs) {
-          support_costs = std::make_shared<const std::vector<double>>(
-              sparse_f32->GatherSupportCosts(cost));
-        }
-      } else if (hit && hit->sparse) {
-        kernel_hit = true;
-        sparse.emplace(linalg::SparseTransportKernel(
-            hit->sparse, options.num_threads, pool));
-        support_costs = hit->support_costs;
-      } else {
-        sparse.emplace(linalg::SparseTransportKernel::FromCost(
-            cost, options.epsilon, options.kernel_truncation,
-            options.num_threads, pool));
-      }
-      if (!support_costs && sparse) {
-        support_costs = std::make_shared<const std::vector<double>>(
-            sparse->GatherSupportCosts(cost));
-      }
-    } else {
-      // Dense linear: both tiers keep the materialized cost around for the
-      // zero-copy ⟨C, π⟩ path (the f32 tier only narrows the *kernel*).
-      if (f32) {
-        if (hit && hit->dense_f32 && hit->dense_cost) {
-          kernel_hit = true;
-          cost_matrix = hit->dense_cost;
-          dense_f32.emplace(linalg::DenseTransportKernelF32(
-              hit->dense_f32, options.num_threads, pool));
-        } else {
-          cost_matrix = std::make_shared<const linalg::Matrix>(
-              linalg::MaterializeCostMatrix(cost));
-          dense_f32.emplace(linalg::DenseTransportKernelF32::FromCost(
-              *cost_matrix, options.epsilon, options.num_threads, pool));
-        }
-      } else if (hit && hit->dense && hit->dense_cost) {
-        kernel_hit = true;
-        cost_matrix = hit->dense_cost;
-        dense.emplace(linalg::DenseTransportKernel(hit->dense,
-                                                   options.num_threads, pool));
-      } else {
-        cost_matrix = std::make_shared<const linalg::Matrix>(
-            linalg::MaterializeCostMatrix(cost));
-        dense.emplace(linalg::DenseTransportKernel::FromCost(
-            *cost_matrix, options.epsilon, options.num_threads, pool));
-      }
-    }
-    if (cache != nullptr && !kernel_hit) {
-      CachedKernel built;
-      if (dense) {
-        built.dense = dense->shared_kernel();
-        built.dense_cost = cost_matrix;
-      } else if (dense_f32) {
-        built.dense_f32 = dense_f32->shared_storage();
-        built.dense_cost = cost_matrix;
-      } else if (log_dense) {
-        built.dense = log_dense->shared_log_kernel();
-      } else if (log_dense_f32) {
-        built.dense_f32 = log_dense_f32->shared_storage();
-      } else if (sparse) {
-        built.sparse = sparse->shared_storage();
-        built.support_costs = support_costs;
-      } else if (sparse_f32) {
-        built.sparse_f32 = sparse_f32->shared_storage();
-        built.support_costs = support_costs;
-      } else if (log_sparse) {
-        built.sparse = log_sparse->shared_storage();
-        built.support_costs = support_costs;
-      } else {
-        built.sparse_f32 = log_sparse_f32->shared_storage();
-        built.support_costs = support_costs;
-      }
-      cache->InsertKernel(key, std::move(built));
-    }
-  }
-
-  /// Whichever linear-domain kernel is engaged (null in log mode): the
-  /// engine loop and marginals only need the abstract interface, so the
-  /// f64/f32 split collapses here.
-  const linalg::TransportKernel* linear_kernel() const {
-    if (dense) return &*dense;
-    if (sparse) return &*sparse;
-    if (dense_f32) return &*dense_f32;
-    if (sparse_f32) return &*sparse_f32;
-    return nullptr;
-  }
-
-  const linalg::LogTransportKernel* log_kernel() const {
-    if (log_dense) return &*log_dense;
-    if (log_sparse) return &*log_sparse;
-    if (log_dense_f32) return &*log_dense_f32;
-    if (log_sparse_f32) return &*log_sparse_f32;
-    return nullptr;
-  }
-
-  bool log_domain() const { return log_kernel() != nullptr; }
-
-  size_t nnz() const {
-    const linalg::LogTransportKernel* lk = log_kernel();
-    return lk != nullptr ? lk->nnz() : linear_kernel()->nnz();
-  }
+  virtual bool kernel_hit() const = 0;
 
   /// Truncation must not strand source mass: every active-domain row needs
   /// at least one surviving kernel entry. (Columns may legitimately go
-  /// empty — the relaxed target marginal simply never reaches them.) The
-  /// linear and log kernels share one kept-set, so one guard serves both;
-  /// f32 shares the f64 kept-set too (decided in double), so all four
-  /// sparse shapes funnel into the same check.
-  Status CheckSupport(const linalg::Vector& p, const char* where) const {
-    if (sparse) {
-      return ot::CheckTruncatedKernelSupport(sparse->kernel(), &p,
-                                             /*q=*/nullptr, where);
-    }
-    if (log_sparse) {
-      return ot::CheckTruncatedKernelSupport(log_sparse->log_kernel(), &p,
-                                             /*q=*/nullptr, where);
-    }
-    if (sparse_f32) {
-      return ot::CheckTruncatedKernelSupport(*sparse_f32->shared_storage(), &p,
-                                             /*q=*/nullptr, where);
-    }
-    if (log_sparse_f32) {
-      return ot::CheckTruncatedKernelSupport(*log_sparse_f32->shared_storage(),
-                                             &p, /*q=*/nullptr, where);
-    }
-    return Status::OK();
-  }
+  /// empty — the relaxed target marginal simply never reaches them.)
+  virtual Status CheckSupport(const linalg::Vector& p,
+                              const char* where) const = 0;
 
   /// One inner Sinkhorn solve against the current column marginal. The
   /// returned (and warm-start) u/v vectors are linear scalings on the
   /// linear paths and log-potentials on the log paths — opaque to the
   /// outer loop, which only threads them back in.
-  Result<ot::SinkhornScaling> Solve(const linalg::Vector& p,
-                                    const linalg::Vector& q_cols,
-                                    const ot::SinkhornOptions& sink,
-                                    const linalg::Vector* warm_u,
-                                    const linalg::Vector* warm_v) const {
-    if (const linalg::LogTransportKernel* lk = log_kernel()) {
+  virtual Result<ot::SinkhornScaling> Solve(
+      const linalg::Vector& p, const linalg::Vector& q_cols,
+      const ot::SinkhornOptions& sink, const linalg::Vector* warm_u,
+      const linalg::Vector* warm_v) const = 0;
+
+  /// Column marginal of the plan at the current potentials, without
+  /// materializing it: (Kᵀu) ∘ v linearly, e^{logsumexp + lv} in log mode
+  /// (exact 0 where either factor is −inf). `scratch` is reused across
+  /// outer steps.
+  virtual void ColumnMarginal(const linalg::Vector& u, const linalg::Vector& v,
+                              linalg::Vector& scratch,
+                              linalg::Vector& target_mass) const = 0;
+
+  /// ⟨C, π⟩ at the current potentials: in-memory cost rows on the dense
+  /// linear path, the cached O(nnz) support costs on the sparse ones, the
+  /// streamed provider on the dense log path.
+  virtual double TransportCost(const linalg::Vector& u,
+                               const linalg::Vector& v) const = 0;
+
+  /// Materializes the final plan from the converged potentials and stores
+  /// ⟨C, π⟩ in `transport_cost`. The sparse paths stay CSR end to end —
+  /// TransportPlan keeps the CSR backing, so no dense rows×cols plan is
+  /// ever allocated on a truncated solve, log-domain included.
+  virtual ot::TransportPlan MaterializePlan(
+      const prob::Domain& dom, const std::vector<size_t>& row_cells,
+      const std::vector<size_t>& col_cells, const linalg::Vector& u,
+      const linalg::Vector& v, double& transport_cost) const = 0;
+};
+
+template <typename Storage>
+struct IsSparseStorage : std::false_type {};
+template <typename T>
+struct IsSparseStorage<linalg::BasicSparseKernelStorage<T>> : std::true_type {
+};
+
+/// OuterLoopKernel over one concrete kernel type. The kernel's cache entry
+/// carries the companions its TransportCost reads: the support costs
+/// (sparse paths, C gathered once at the kernel's support so the outer
+/// loop never re-invokes the cost function) or the materialized cost
+/// (dense linear path, the zero-copy ⟨C, π⟩ fast path); the dense log
+/// path streams the borrowed provider instead.
+template <typename Kernel>
+class KernelOuterLoop final : public OuterLoopKernel {
+ public:
+  static constexpr bool kLog =
+      std::is_base_of_v<linalg::LogTransportKernel, Kernel>;
+  static constexpr bool kSparse =
+      IsSparseStorage<typename Kernel::Storage>::value;
+
+  /// `cache` (nullable) with an invalid `key` is a silent no-op, so the
+  /// uncached construction path is unchanged. A hit adopts the cached
+  /// storage — the same bytes the miss built, hence bit-identical
+  /// arithmetic; a miss builds and publishes it with its companions.
+  KernelOuterLoop(const linalg::CostProvider& cost,
+                  const FastOtCleanOptions& options, linalg::ThreadPool* pool,
+                  SolveCache* cache, const SolveCacheKey& key)
+      : acquired_(AcquireKernel<Kernel>(
+            cache, key, options.num_threads, pool,
+            [&](CachedKernel& entry) {
+              return Build(cost, options, pool, entry);
+            })),
+        cost_(cost) {
+    // A hit on an entry published without the companion rebuilds it here.
+    CachedKernel& entry = acquired_.entry;
+    if constexpr (kSparse) {
+      if (!entry.support_costs) {
+        entry.support_costs = std::make_shared<const std::vector<double>>(
+            kernel().GatherSupportCosts(cost));
+      }
+    } else if constexpr (!kLog) {
+      if (!entry.dense_cost) {
+        entry.dense_cost = std::make_shared<const linalg::Matrix>(
+            linalg::MaterializeCostMatrix(cost));
+      }
+    }
+  }
+
+  bool log_domain() const override { return kLog; }
+  size_t nnz() const override { return kernel().nnz(); }
+  bool kernel_hit() const override { return acquired_.hit; }
+
+  Status CheckSupport(const linalg::Vector& p,
+                      const char* where) const override {
+    if constexpr (kSparse) {
+      const auto& storage = *kernel().shared_storage();
+      return ot::CheckTruncatedKernelSupport(storage.matrix.row_ptr(),
+                                             storage.csc.col_ptr, &p,
+                                             /*q=*/nullptr, where);
+    } else {
+      return Status::OK();
+    }
+  }
+
+  Result<ot::SinkhornScaling> Solve(
+      const linalg::Vector& p, const linalg::Vector& q_cols,
+      const ot::SinkhornOptions& sink, const linalg::Vector* warm_u,
+      const linalg::Vector* warm_v) const override {
+    if constexpr (kLog) {
       OTCLEAN_ASSIGN_OR_RETURN(
           ot::SinkhornLogScaling s,
-          ot::RunSinkhornLogScaling(*lk, p, q_cols, sink, warm_u, warm_v));
+          ot::RunSinkhornLogScaling(kernel(), p, q_cols, sink, warm_u, warm_v));
       ot::SinkhornScaling out;
       out.u = std::move(s.lu);
       out.v = std::move(s.lv);
       out.iterations = s.iterations;
       out.converged = s.converged;
       return out;
+    } else {
+      return ot::RunSinkhornScaling(kernel(), p, q_cols, sink, warm_u, warm_v);
     }
-    return ot::RunSinkhornScaling(*linear_kernel(), p, q_cols, sink, warm_u,
-                                  warm_v);
   }
 
-  /// Column marginal of the plan at the current potentials, without
-  /// materializing it: (Kᵀu) ∘ v linearly, e^{logsumexp + lv} in log mode
-  /// (exact 0 where either factor is −inf). `scratch` is reused across
-  /// outer steps.
   void ColumnMarginal(const linalg::Vector& u, const linalg::Vector& v,
                       linalg::Vector& scratch,
-                      linalg::Vector& target_mass) const {
-    if (const linalg::LogTransportKernel* lk = log_kernel()) {
-      lk->LogApplyTranspose(u, scratch);
+                      linalg::Vector& target_mass) const override {
+    if constexpr (kLog) {
+      kernel().LogApplyTranspose(u, scratch);
       if (target_mass.size() != scratch.size()) {
         target_mass = linalg::Vector(scratch.size());
       }
       for (size_t j = 0; j < scratch.size(); ++j) {
         target_mass[j] = linalg::simd::PolyExp(scratch[j] + v[j]);
       }
-      return;
+    } else {
+      kernel().ApplyTranspose(u, scratch);
+      target_mass = scratch.CwiseProduct(v);
     }
-    linear_kernel()->ApplyTranspose(u, scratch);
-    target_mass = scratch.CwiseProduct(v);
   }
 
-  /// ⟨C, π⟩ at the current potentials: in-memory cost rows on the dense
-  /// linear path, the cached O(nnz) support costs on the sparse ones, the
-  /// streamed provider on the dense log path.
-  double TransportCost(const linalg::Vector& u, const linalg::Vector& v) const {
-    if (sparse) return sparse->SupportTransportCost(*support_costs, u, v);
-    if (sparse_f32) {
-      return sparse_f32->SupportTransportCost(*support_costs, u, v);
+  double TransportCost(const linalg::Vector& u,
+                       const linalg::Vector& v) const override {
+    if constexpr (kSparse) {
+      return kernel().SupportTransportCost(*acquired_.entry.support_costs, u,
+                                           v);
+    } else if constexpr (kLog) {
+      return kernel().TransportCost(cost_, u, v);
+    } else {
+      return kernel().TransportCost(*acquired_.entry.dense_cost, u, v);
     }
-    if (log_sparse) {
-      return log_sparse->SupportTransportCost(*support_costs, u, v);
-    }
-    if (log_sparse_f32) {
-      return log_sparse_f32->SupportTransportCost(*support_costs, u, v);
-    }
-    if (log_dense) return log_dense->TransportCost(*cost_provider, u, v);
-    if (log_dense_f32) {
-      return log_dense_f32->TransportCost(*cost_provider, u, v);
-    }
-    if (dense_f32) return dense_f32->TransportCost(*cost_matrix, u, v);
-    return dense->TransportCost(*cost_matrix, u, v);
   }
 
-  /// Materializes the final plan from the converged potentials and stores
-  /// ⟨C, π⟩ in `transport_cost`. The sparse paths stay CSR end to end —
-  /// TransportPlan keeps the CSR backing, so no dense rows×cols plan is
-  /// ever allocated on a truncated solve, log-domain included.
   ot::TransportPlan MaterializePlan(const prob::Domain& dom,
                                     const std::vector<size_t>& row_cells,
                                     const std::vector<size_t>& col_cells,
                                     const linalg::Vector& u,
                                     const linalg::Vector& v,
-                                    double& transport_cost) const {
+                                    double& transport_cost) const override {
     transport_cost = TransportCost(u, v);
-    if (sparse) {
+    if constexpr (kSparse) {
       return ot::TransportPlan(dom, row_cells, col_cells,
-                               sparse->ScaleToPlanSparse(u, v));
-    }
-    if (sparse_f32) {
+                               kernel().ScaleToPlanSparse(u, v));
+    } else {
       return ot::TransportPlan(dom, row_cells, col_cells,
-                               sparse_f32->ScaleToPlanSparse(u, v));
+                               kernel().ScaleToPlan(u, v));
     }
-    if (log_sparse) {
-      return ot::TransportPlan(dom, row_cells, col_cells,
-                               log_sparse->ScaleToPlanSparse(u, v));
-    }
-    if (log_sparse_f32) {
-      return ot::TransportPlan(dom, row_cells, col_cells,
-                               log_sparse_f32->ScaleToPlanSparse(u, v));
-    }
-    if (const linalg::LogTransportKernel* lk = log_kernel()) {
-      return ot::TransportPlan(dom, row_cells, col_cells,
-                               lk->ScaleToPlan(u, v));
-    }
-    return ot::TransportPlan(dom, row_cells, col_cells,
-                             linear_kernel()->ScaleToPlan(u, v));
   }
+
+ private:
+  /// The miss path: builds the kernel and records its companion in `entry`
+  /// so both are published together.
+  static Kernel Build(const linalg::CostProvider& cost,
+                      const FastOtCleanOptions& options,
+                      linalg::ThreadPool* pool, CachedKernel& entry) {
+    if constexpr (kSparse) {
+      Kernel kernel =
+          Kernel::FromCost(cost, options.epsilon, options.kernel_truncation,
+                           options.num_threads, pool);
+      entry.support_costs = std::make_shared<const std::vector<double>>(
+          kernel.GatherSupportCosts(cost));
+      return kernel;
+    } else if constexpr (kLog) {
+      return Kernel::FromCost(cost, options.epsilon, options.num_threads,
+                              pool);
+    } else {
+      entry.dense_cost = std::make_shared<const linalg::Matrix>(
+          linalg::MaterializeCostMatrix(cost));
+      return Kernel::FromCost(*entry.dense_cost, options.epsilon,
+                              options.num_threads, pool);
+    }
+  }
+
+  const Kernel& kernel() const { return acquired_.kernel; }
+
+  AcquiredKernel<Kernel> acquired_;
+  /// Borrowed build view; the dense log path streams ⟨C, π⟩ from it.
+  const linalg::CostProvider& cost_;
 };
 
+/// Builds the outer-loop kernel for `options`: the shape from the
+/// truncation and domain flags, the storage scalar from the precision.
+std::unique_ptr<const OuterLoopKernel> MakeOuterLoopKernel(
+    const linalg::CostProvider& cost, const FastOtCleanOptions& options,
+    linalg::ThreadPool* pool, SolveCache* cache, const SolveCacheKey& key) {
+  return linalg::WithKernelScalar(
+      options.precision,
+      [&](auto scalar) -> std::unique_ptr<const OuterLoopKernel> {
+        using T = decltype(scalar);
+        const bool truncated = options.kernel_truncation > 0.0;
+        if (options.log_domain && truncated) {
+          return std::make_unique<
+              KernelOuterLoop<linalg::BasicSparseLogTransportKernel<T>>>(
+              cost, options, pool, cache, key);
+        }
+        if (options.log_domain) {
+          return std::make_unique<
+              KernelOuterLoop<linalg::BasicDenseLogTransportKernel<T>>>(
+              cost, options, pool, cache, key);
+        }
+        if (truncated) {
+          return std::make_unique<
+              KernelOuterLoop<linalg::BasicSparseTransportKernel<T>>>(
+              cost, options, pool, cache, key);
+        }
+        return std::make_unique<
+            KernelOuterLoop<linalg::BasicDenseTransportKernel<T>>>(
+            cost, options, pool, cache, key);
+      });
+}
 
 /// FaultSite::kAlloc checkpoint: models the outer-loop kernel allocation
 /// failing. Thrown rather than returned so the unwind path — cache pins
@@ -628,34 +544,37 @@ prob::JointDistribution IterativeNmfProjection(
   return q;
 }
 
-}  // namespace
+/// Outer step B's CI projection of the plan's target marginal, chosen once
+/// per repair.
+using CiProjector =
+    std::function<prob::JointDistribution(const prob::JointDistribution&)>;
 
-Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
-                                      const prob::CiSpec& ci,
-                                      const ot::CostFunction& cost,
-                                      const FastOtCleanOptions& options,
-                                      Rng& rng) {
-  if (!options.iterative_nmf) {
-    // The closed-form single-constraint projection is the one-spec case of
-    // the cyclic multi-constraint projection.
-    return FastOtCleanMulti(p_data, {ci}, cost, options, rng);
-  }
+/// THE FastOTClean outer loop (Algorithm 2): alternate a warm-started
+/// Sinkhorn solve against the current target Q (step A) with a CI
+/// projection of the plan's target marginal (step B) until Q stops
+/// moving. `project` is the projection strategy; `where` prefixes errors.
+Result<FastOtCleanResult> RunFastOtClean(const char* where,
+                                         const prob::JointDistribution& p_data,
+                                         const std::vector<prob::CiSpec>& cis,
+                                         const ot::CostFunction& cost,
+                                         const FastOtCleanOptions& options,
+                                         const CiProjector& project,
+                                         Rng& rng) {
+  const auto invalid = [&](const char* what) {
+    return Status::InvalidArgument(std::string(where) + ": " + what);
+  };
   const prob::Domain& dom = p_data.domain();
-  if (dom.TotalSize() == 0) {
-    return Status::InvalidArgument("FastOtClean: empty domain");
-  }
+  if (dom.TotalSize() == 0) return invalid("empty domain");
+  if (cis.empty()) return invalid("no constraints");
   if (std::fabs(p_data.Mass() - 1.0) > 1e-6) {
-    return Status::InvalidArgument("FastOtClean: p_data must be normalized");
+    return invalid("p_data must be normalized");
   }
   if (options.ci_strength < 0.0 || options.ci_strength > 1.0) {
-    return Status::InvalidArgument("FastOtClean: ci_strength must be in [0,1]");
+    return invalid("ci_strength must be in [0,1]");
   }
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument("FastOtClean: epsilon must be positive");
-  }
+  if (options.epsilon <= 0.0) return invalid("epsilon must be positive");
   if (options.max_outer_iterations == 0) {
-    return Status::InvalidArgument(
-        "FastOtClean: max_outer_iterations must be > 0");
+    return invalid("max_outer_iterations must be > 0");
   }
 
   // Active-domain restriction (Section 5, default optimization 1).
@@ -663,9 +582,7 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
   for (size_t i = 0; i < p_data.size(); ++i) {
     if (p_data[i] > 0.0) row_cells.push_back(i);
   }
-  if (row_cells.empty()) {
-    return Status::InvalidArgument("FastOtClean: p_data carries no mass");
-  }
+  if (row_cells.empty()) return invalid("p_data carries no mass");
   std::vector<size_t> col_cells;
   if (options.restrict_columns_to_active) {
     col_cells = row_cells;
@@ -684,191 +601,9 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
   // kernels — and NaN kernel entries void the SIMD max-reduction
   // contract. One extra streaming pass per repair; the iterations
   // dominate.
-  OTCLEAN_RETURN_NOT_OK(ot::ValidateFiniteCosts("FastOtClean", cost_view));
+  OTCLEAN_RETURN_NOT_OK(ot::ValidateFiniteCosts(where, cost_view));
   OTCLEAN_RETURN_NOT_OK(
-      CheckStop(options.cancel_token, options.deadline, "FastOtClean"));
-
-  // Fault sites, exactly as in FastOtCleanMulti below.
-  const bool poison_kernel =
-      options.fault_injector != nullptr &&
-      options.fault_injector->ShouldFire(FaultSite::kKernelNan);
-  const NanPoisonedCostView poisoned_view(cost_view);
-  const linalg::CostProvider& build_view =
-      poison_kernel ? static_cast<const linalg::CostProvider&>(poisoned_view)
-                    : static_cast<const linalg::CostProvider&>(cost_view);
-
-  // Initial target distribution Q (Section 5, default optimization 2).
-  prob::JointDistribution q(dom);
-  if (options.nmf_init) {
-    q = prob::CiProjection(p_data, ci);
-  } else {
-    for (size_t i = 0; i < q.size(); ++i) q[i] = rng.NextDouble();
-    q.Normalize();
-    q = prob::CiProjection(q, ci);  // random but feasible start
-  }
-
-  ot::SinkhornOptions sink;
-  sink.epsilon = options.epsilon;
-  sink.lambda = options.lambda;
-  sink.relaxed = true;
-  sink.max_iterations = options.max_sinkhorn_iterations;
-  sink.tolerance = options.sinkhorn_tolerance;
-  sink.log_domain = options.log_domain;
-  sink.num_threads = options.num_threads;
-  sink.precision = options.precision;
-  sink.cancel_token = options.cancel_token;
-  sink.deadline = options.deadline;
-
-  // One worker pool for the whole repair: every Sinkhorn iteration of
-  // every outer step dispatches on it instead of spawning threads anew.
-  std::optional<linalg::ThreadPool> owned_pool;
-  linalg::ThreadPool* pool = linalg::ResolveSolvePool(
-      options.thread_pool, options.num_threads, owned_pool);
-
-  const uint64_t fast_fp =
-      options.solve_cache != nullptr && !poison_kernel
-          ? FastCostFingerprint(cost, dom, row_cells, col_cells)
-          : 0;
-  const SolveCacheKey cache_key =
-      MakeFastCacheKey(fast_fp, row_cells, col_cells, options);
-  MaybeInjectAllocFailure(options.fault_injector);
-  const OuterLoopKernel kernel_storage(build_view, options, pool,
-                                       options.solve_cache, cache_key);
-  OTCLEAN_RETURN_NOT_OK(kernel_storage.CheckSupport(p, "FastOtClean"));
-
-  FastOtCleanResult result;
-  result.kernel_nnz = kernel_storage.nnz();
-  if (options.solve_cache != nullptr && cache_key.valid()) {
-    result.cache_kernel_hits = kernel_storage.kernel_hit ? 1 : 0;
-    result.cache_kernel_misses = kernel_storage.kernel_hit ? 0 : 1;
-  }
-  linalg::Vector warm_u, warm_v, ktu;
-  size_t warm_cold_baseline = 0;
-  result.cache_warm_started = FetchCachedWarmStart(
-      options.solve_cache, cache_key, options, p.size(), col_cells.size(),
-      kernel_storage.log_domain(), warm_u, warm_v, warm_cold_baseline);
-  OTCLEAN_RETURN_NOT_OK(MaybeAnnealFirstSolve(
-      build_view, p, q, col_cells, options, sink, fast_fp,
-      kernel_storage.log_domain(), pool, warm_u, warm_v, result));
-
-  for (size_t outer = 0; outer < options.max_outer_iterations; ++outer) {
-    OTCLEAN_RETURN_NOT_OK(
-        CheckStop(options.cancel_token, options.deadline, "FastOtClean"));
-    // --- Outer step A: transport plan against the current Q (Sinkhorn). ---
-    linalg::Vector q_cols(col_cells.size());
-    for (size_t j = 0; j < col_cells.size(); ++j) q_cols[j] = q[col_cells[j]];
-
-    const linalg::Vector* wu =
-        (options.warm_start && warm_u.size() == p.size()) ? &warm_u : nullptr;
-    const linalg::Vector* wv =
-        (options.warm_start && warm_v.size() == q_cols.size()) ? &warm_v
-                                                               : nullptr;
-    OTCLEAN_ASSIGN_OR_RETURN(ot::SinkhornScaling sr,
-                             kernel_storage.Solve(p, q_cols, sink, wu, wv));
-    warm_u = std::move(sr.u);
-    warm_v = std::move(sr.v);
-    result.total_sinkhorn_iterations += sr.iterations;
-    result.objective_trace.push_back(
-        kernel_storage.TransportCost(warm_u, warm_v));
-
-    // --- Outer step B: rebuild Q from the plan's target marginal via the
-    // per-slice rank-one KL factorization (Algorithm 2 lines 8–13). ---
-    // Column marginal of the plan without materializing it.
-    linalg::Vector target_mass;
-    kernel_storage.ColumnMarginal(warm_u, warm_v, ktu, target_mass);
-    const double total = target_mass.Sum();
-    if (total <= 0.0) {
-      return Status::Internal("FastOtClean: plan lost all mass");
-    }
-    target_mass /= total;
-    prob::JointDistribution t = ExpandToDomain(dom, col_cells, target_mass);
-    prob::JointDistribution q_proj =
-        options.iterative_nmf
-            ? IterativeNmfProjection(t, ci, options.nmf_max_iterations, rng)
-            : prob::CiProjection(t, ci);
-
-    if (options.ci_strength < 1.0) {
-      // Soft enforcement: blend projection with the raw marginal (finite μ).
-      for (size_t i = 0; i < q_proj.size(); ++i) {
-        q_proj[i] =
-            options.ci_strength * q_proj[i] +
-            (1.0 - options.ci_strength) * t[i];
-      }
-      q_proj.Normalize();
-    }
-
-    const double delta = q.TotalVariation(q_proj);
-    q = std::move(q_proj);
-    result.outer_iterations = outer + 1;
-    if (delta <= options.outer_tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.plan =
-      kernel_storage.MaterializePlan(dom, row_cells, col_cells, warm_u,
-                                     warm_v, result.transport_cost);
-  result.target = q;
-  result.target_cmi = prob::ConditionalMutualInformation(q, ci);
-  StoreCachedWarmStart(options.solve_cache, cache_key, options,
-                       kernel_storage.log_domain(), warm_u, warm_v,
-                       warm_cold_baseline, result);
-  return result;
-}
-
-Result<FastOtCleanResult> FastOtCleanMulti(
-    const prob::JointDistribution& p_data,
-    const std::vector<prob::CiSpec>& cis, const ot::CostFunction& cost,
-    const FastOtCleanOptions& options, Rng& rng) {
-  const prob::Domain& dom = p_data.domain();
-  if (dom.TotalSize() == 0) {
-    return Status::InvalidArgument("FastOtCleanMulti: empty domain");
-  }
-  if (cis.empty()) {
-    return Status::InvalidArgument("FastOtCleanMulti: no constraints");
-  }
-  if (std::fabs(p_data.Mass() - 1.0) > 1e-6) {
-    return Status::InvalidArgument(
-        "FastOtCleanMulti: p_data must be normalized");
-  }
-  if (options.ci_strength < 0.0 || options.ci_strength > 1.0) {
-    return Status::InvalidArgument(
-        "FastOtCleanMulti: ci_strength must be in [0,1]");
-  }
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument(
-        "FastOtCleanMulti: epsilon must be positive");
-  }
-  if (options.max_outer_iterations == 0) {
-    return Status::InvalidArgument(
-        "FastOtCleanMulti: max_outer_iterations must be > 0");
-  }
-
-  std::vector<size_t> row_cells;
-  for (size_t i = 0; i < p_data.size(); ++i) {
-    if (p_data[i] > 0.0) row_cells.push_back(i);
-  }
-  if (row_cells.empty()) {
-    return Status::InvalidArgument("FastOtCleanMulti: p_data carries no mass");
-  }
-  std::vector<size_t> col_cells;
-  if (options.restrict_columns_to_active) {
-    col_cells = row_cells;
-  } else {
-    col_cells.resize(dom.TotalSize());
-    for (size_t i = 0; i < col_cells.size(); ++i) col_cells[i] = i;
-  }
-
-  linalg::Vector p(row_cells.size());
-  for (size_t i = 0; i < row_cells.size(); ++i) p[i] = p_data[row_cells[i]];
-
-  const ot::FunctionCostProvider cost_view(dom, row_cells, col_cells, cost);
-  // Same finite-cost guard as the single-constraint path above.
-  OTCLEAN_RETURN_NOT_OK(
-      ot::ValidateFiniteCosts("FastOtCleanMulti", cost_view));
-  OTCLEAN_RETURN_NOT_OK(
-      CheckStop(options.cancel_token, options.deadline, "FastOtCleanMulti"));
+      CheckStop(options.cancel_token, options.deadline, where));
 
   // kKernelNan fires here — past validation, so the NaN reaches the kernel
   // build exactly like a runtime numeric blow-up would. A poisoned solve
@@ -882,13 +617,14 @@ Result<FastOtCleanResult> FastOtCleanMulti(
       poison_kernel ? static_cast<const linalg::CostProvider&>(poisoned_view)
                     : static_cast<const linalg::CostProvider&>(cost_view);
 
+  // Initial target distribution Q (Section 5, default optimization 2).
   prob::JointDistribution q(dom);
   if (options.nmf_init) {
     q = prob::MultiCiProjection(p_data, cis);
   } else {
     for (size_t i = 0; i < q.size(); ++i) q[i] = rng.NextDouble();
     q.Normalize();
-    q = prob::MultiCiProjection(q, cis);
+    q = prob::MultiCiProjection(q, cis);  // random but feasible start
   }
 
   ot::SinkhornOptions sink;
@@ -916,28 +652,29 @@ Result<FastOtCleanResult> FastOtCleanMulti(
   const SolveCacheKey cache_key =
       MakeFastCacheKey(fast_fp, row_cells, col_cells, options);
   MaybeInjectAllocFailure(options.fault_injector);
-  const OuterLoopKernel kernel_storage(build_view, options, pool,
-                                       options.solve_cache, cache_key);
-  OTCLEAN_RETURN_NOT_OK(kernel_storage.CheckSupport(p, "FastOtCleanMulti"));
+  const std::unique_ptr<const OuterLoopKernel> kernel = MakeOuterLoopKernel(
+      build_view, options, pool, options.solve_cache, cache_key);
+  OTCLEAN_RETURN_NOT_OK(kernel->CheckSupport(p, where));
 
   FastOtCleanResult result;
-  result.kernel_nnz = kernel_storage.nnz();
+  result.kernel_nnz = kernel->nnz();
   if (options.solve_cache != nullptr && cache_key.valid()) {
-    result.cache_kernel_hits = kernel_storage.kernel_hit ? 1 : 0;
-    result.cache_kernel_misses = kernel_storage.kernel_hit ? 0 : 1;
+    result.cache_kernel_hits = kernel->kernel_hit() ? 1 : 0;
+    result.cache_kernel_misses = kernel->kernel_hit() ? 0 : 1;
   }
   linalg::Vector warm_u, warm_v, ktu;
   size_t warm_cold_baseline = 0;
   result.cache_warm_started = FetchCachedWarmStart(
       options.solve_cache, cache_key, options, p.size(), col_cells.size(),
-      kernel_storage.log_domain(), warm_u, warm_v, warm_cold_baseline);
+      kernel->log_domain(), warm_u, warm_v, warm_cold_baseline);
   OTCLEAN_RETURN_NOT_OK(MaybeAnnealFirstSolve(
       build_view, p, q, col_cells, options, sink, fast_fp,
-      kernel_storage.log_domain(), pool, warm_u, warm_v, result));
+      kernel->log_domain(), pool, warm_u, warm_v, result));
 
   for (size_t outer = 0; outer < options.max_outer_iterations; ++outer) {
-    OTCLEAN_RETURN_NOT_OK(CheckStop(options.cancel_token, options.deadline,
-                                    "FastOtCleanMulti"));
+    OTCLEAN_RETURN_NOT_OK(
+        CheckStop(options.cancel_token, options.deadline, where));
+    // --- Outer step A: transport plan against the current Q (Sinkhorn). ---
     linalg::Vector q_cols(col_cells.size());
     for (size_t j = 0; j < col_cells.size(); ++j) q_cols[j] = q[col_cells[j]];
 
@@ -947,26 +684,27 @@ Result<FastOtCleanResult> FastOtCleanMulti(
         (options.warm_start && warm_v.size() == q_cols.size()) ? &warm_v
                                                                : nullptr;
     OTCLEAN_ASSIGN_OR_RETURN(ot::SinkhornScaling sr,
-                             kernel_storage.Solve(p, q_cols, sink, wu, wv));
+                             kernel->Solve(p, q_cols, sink, wu, wv));
     warm_u = std::move(sr.u);
     warm_v = std::move(sr.v);
     result.total_sinkhorn_iterations += sr.iterations;
-    result.objective_trace.push_back(
-        kernel_storage.TransportCost(warm_u, warm_v));
+    result.objective_trace.push_back(kernel->TransportCost(warm_u, warm_v));
 
+    // --- Outer step B: project the plan's target marginal back onto the
+    // CI constraints (Algorithm 2 lines 8–13). ---
     // Column marginal of the plan without materializing it.
     linalg::Vector target_mass;
-    kernel_storage.ColumnMarginal(warm_u, warm_v, ktu, target_mass);
-
+    kernel->ColumnMarginal(warm_u, warm_v, ktu, target_mass);
     const double total = target_mass.Sum();
     if (total <= 0.0) {
-      return Status::Internal("FastOtCleanMulti: plan lost all mass");
+      return Status::Internal(std::string(where) + ": plan lost all mass");
     }
     target_mass /= total;
     prob::JointDistribution t = ExpandToDomain(dom, col_cells, target_mass);
-    prob::JointDistribution q_proj = prob::MultiCiProjection(t, cis);
+    prob::JointDistribution q_proj = project(t);
 
     if (options.ci_strength < 1.0) {
+      // Soft enforcement: blend projection with the raw marginal (finite μ).
       for (size_t i = 0; i < q_proj.size(); ++i) {
         q_proj[i] = options.ci_strength * q_proj[i] +
                     (1.0 - options.ci_strength) * t[i];
@@ -983,15 +721,46 @@ Result<FastOtCleanResult> FastOtCleanMulti(
     }
   }
 
-  result.plan =
-      kernel_storage.MaterializePlan(dom, row_cells, col_cells, warm_u,
-                                     warm_v, result.transport_cost);
+  result.plan = kernel->MaterializePlan(dom, row_cells, col_cells, warm_u,
+                                        warm_v, result.transport_cost);
   result.target = q;
   result.target_cmi = prob::MaxCmi(q, cis);
   StoreCachedWarmStart(options.solve_cache, cache_key, options,
-                       kernel_storage.log_domain(), warm_u, warm_v,
+                       kernel->log_domain(), warm_u, warm_v,
                        warm_cold_baseline, result);
   return result;
+}
+
+}  // namespace
+
+Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
+                                      const prob::CiSpec& ci,
+                                      const ot::CostFunction& cost,
+                                      const FastOtCleanOptions& options,
+                                      Rng& rng) {
+  if (!options.iterative_nmf) {
+    // The closed-form single-constraint projection is the one-spec case of
+    // the cyclic multi-constraint projection.
+    return FastOtCleanMulti(p_data, {ci}, cost, options, rng);
+  }
+  return RunFastOtClean(
+      "FastOtClean", p_data, {ci}, cost, options,
+      [&](const prob::JointDistribution& t) {
+        return IterativeNmfProjection(t, ci, options.nmf_max_iterations, rng);
+      },
+      rng);
+}
+
+Result<FastOtCleanResult> FastOtCleanMulti(
+    const prob::JointDistribution& p_data,
+    const std::vector<prob::CiSpec>& cis, const ot::CostFunction& cost,
+    const FastOtCleanOptions& options, Rng& rng) {
+  return RunFastOtClean(
+      "FastOtCleanMulti", p_data, cis, cost, options,
+      [&](const prob::JointDistribution& t) {
+        return prob::MultiCiProjection(t, cis);
+      },
+      rng);
 }
 
 }  // namespace otclean::core

@@ -39,8 +39,7 @@ void PopulateFastSolveReport(const FastOtCleanResult& r,
   report.converged = r.converged;
   report.kernel_nnz = r.kernel_nnz;
   report.sinkhorn_domain = fast.log_domain ? "log" : "linear";
-  report.precision =
-      fast.precision == linalg::Precision::kFloat32 ? "f32" : "f64";
+  report.precision = linalg::PrecisionName(fast.precision);
   report.anneal_stages = r.anneal_stages;
   report.cache_kernel_hits = r.cache_kernel_hits;
   report.cache_kernel_misses = r.cache_kernel_misses;

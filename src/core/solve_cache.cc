@@ -3,7 +3,6 @@
 #include "common/hash.h"
 #include "core/fault_injector.h"
 #include "linalg/simd.h"
-#include "linalg/transport_kernel_f32.h"
 
 namespace otclean::core {
 
@@ -50,7 +49,7 @@ SolveCacheKey MakeSolveCacheKey(uint64_t cost_fingerprint, size_t rows,
 size_t CachedKernel::MemoryBytes() const {
   size_t bytes = MatrixBytes(dense) + MatrixBytes(dense_cost);
   if (sparse) bytes += sparse->MemoryBytes();
-  if (dense_f32) bytes += dense_f32->MemoryBytes();
+  if (dense_f32) bytes += dense_f32->size() * sizeof(float);
   if (sparse_f32) bytes += sparse_f32->MemoryBytes();
   if (support_costs) bytes += support_costs->size() * sizeof(double);
   return bytes;

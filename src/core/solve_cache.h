@@ -7,18 +7,15 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "linalg/log_transport_kernel.h"
 #include "linalg/matrix.h"
 #include "linalg/precision.h"
 #include "linalg/transport_kernel.h"
 #include "linalg/vector.h"
-
-namespace otclean::linalg {
-struct DenseKernelStorageF32;
-struct SparseKernelStorageF32;
-}  // namespace otclean::linalg
 
 namespace otclean::core {
 
@@ -79,12 +76,13 @@ SolveCacheKey MakeSolveCacheKey(
 /// kernel's values, `dense_cost` the materialized cost matrix of the dense
 /// path. Everything is shared_ptr-held and immutable, so a hit hands out
 /// the very same storage the miss built — arithmetic over it is
-/// bit-identical by construction.
+/// bit-identical by construction. Solvers never pick a field by hand:
+/// AcquireKernel reaches the one a kernel type stores through StorageSlot.
 struct CachedKernel {
   std::shared_ptr<const linalg::Matrix> dense;
   std::shared_ptr<const linalg::SparseKernelStorage> sparse;
-  std::shared_ptr<const linalg::DenseKernelStorageF32> dense_f32;
-  std::shared_ptr<const linalg::SparseKernelStorageF32> sparse_f32;
+  std::shared_ptr<const linalg::FloatMatrix> dense_f32;
+  std::shared_ptr<const linalg::BasicSparseKernelStorage<float>> sparse_f32;
   std::shared_ptr<const std::vector<double>> support_costs;
   std::shared_ptr<const linalg::Matrix> dense_cost;
 
@@ -98,6 +96,30 @@ struct CachedKernel {
   /// evicted — eviction would not free the memory anyway.
   bool InUse() const;
 };
+
+/// The CachedKernel field that holds a `Storage` (a kernel's
+/// Kernel::Storage): dense or CSR, f64 or f32.
+template <typename Storage>
+std::shared_ptr<const Storage>& StorageSlot(CachedKernel& entry);
+template <>
+inline std::shared_ptr<const linalg::Matrix>& StorageSlot(CachedKernel& e) {
+  return e.dense;
+}
+template <>
+inline std::shared_ptr<const linalg::SparseKernelStorage>& StorageSlot(
+    CachedKernel& e) {
+  return e.sparse;
+}
+template <>
+inline std::shared_ptr<const linalg::FloatMatrix>& StorageSlot(
+    CachedKernel& e) {
+  return e.dense_f32;
+}
+template <>
+inline std::shared_ptr<const linalg::BasicSparseKernelStorage<float>>&
+StorageSlot(CachedKernel& e) {
+  return e.sparse_f32;
+}
 
 /// Converged potentials persisted per key (linear domain; the log path
 /// lifts them via log — the existing warm_u/warm_v plumbing).
@@ -252,6 +274,42 @@ class SolveCache {
   /// work, never while solves are running" contract of set_fault_injector.
   FaultInjector* fault_injector_ = nullptr;
 };
+
+/// A kernel from AcquireKernel, with the entry it came from (a hit) or was
+/// published as (a miss).
+template <typename Kernel>
+struct AcquiredKernel {
+  Kernel kernel;
+  CachedKernel entry;
+  bool hit = false;
+};
+
+/// The one find-or-build path for a solve's kernel. On a hit — an entry
+/// under `key` holding a `Kernel::Storage` — the kernel adopts the cached
+/// storage, so its arithmetic is bit-identical to the miss that built it.
+/// Otherwise `build(entry)` builds the kernel (adding any companions such
+/// as support costs to `entry`) and the storage is published together
+/// with them in one InsertKernel. A null cache or invalid key is a plain
+/// build that touches no counter.
+template <typename Kernel, typename Build>
+AcquiredKernel<Kernel> AcquireKernel(SolveCache* cache,
+                                     const SolveCacheKey& key,
+                                     size_t num_threads,
+                                     linalg::ThreadPool* pool, Build&& build) {
+  if (cache != nullptr) {
+    if (std::optional<CachedKernel> found = cache->FindKernel(key)) {
+      if (auto storage = StorageSlot<typename Kernel::Storage>(*found)) {
+        return {Kernel(std::move(storage), num_threads, pool),
+                std::move(*found), true};
+      }
+    }
+  }
+  CachedKernel entry;
+  Kernel kernel = build(entry);
+  StorageSlot<typename Kernel::Storage>(entry) = kernel.shared_storage();
+  if (cache != nullptr) cache->InsertKernel(key, entry);
+  return {std::move(kernel), std::move(entry), false};
+}
 
 }  // namespace otclean::core
 

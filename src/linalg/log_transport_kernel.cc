@@ -14,68 +14,45 @@ namespace otclean::linalg {
 
 namespace {
 
+template <typename T>
+using Lanes = simd::StorageLanes<T>;
+
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 /// Σ_k costs[k]·e^{(vals[k] + lv[col(k)]) + lu_r} over one stored row —
 /// the shared inner loop of the sparse TransportCost and
 /// SupportTransportCost, written once so the streamed and cached variants
 /// are bit-identical.
-double RowLogCost(const double* costs, const double* vals, const size_t* cols,
+template <typename T>
+double RowLogCost(const double* costs, const T* vals, const size_t* cols,
                   const double* lv, double lu_r, size_t len) {
   double s = 0.0;
   for (size_t k = 0; k < len; ++k) {
-    s += costs[k] * simd::PolyExp(vals[k] + lv[cols[k]] + lu_r);
+    s += costs[k] *
+         simd::PolyExp(static_cast<double>(vals[k]) + lv[cols[k]] + lu_r);
   }
   return s;
 }
 
-}  // namespace
-
-// ----------------------------------------------------------------- Dense --
-
-DenseLogTransportKernel::DenseLogTransportKernel(Matrix log_kernel,
-                                                 size_t num_threads,
-                                                 ThreadPool* pool)
-    : DenseLogTransportKernel(
-          std::make_shared<const Matrix>(std::move(log_kernel)), num_threads,
-          pool) {}
-
-DenseLogTransportKernel::DenseLogTransportKernel(
-    std::shared_ptr<const Matrix> log_kernel, size_t num_threads,
-    ThreadPool* pool)
-    : log_kernel_(std::move(log_kernel)),
-      threads_(ResolveThreadCount(num_threads)),
-      pool_(pool) {}
-
-DenseLogTransportKernel DenseLogTransportKernel::FromCost(const Matrix& cost,
-                                                          double epsilon,
-                                                          size_t num_threads,
-                                                          ThreadPool* pool) {
+/// L = −C/ε in double, streamed from the provider — the build both storage
+/// scalars start from (the f32 kernel narrows the finished matrix).
+Matrix BuildLogKernel(const CostProvider& cost, double epsilon,
+                      size_t num_threads, ThreadPool* pool) {
   assert(epsilon > 0.0);
-  Matrix log_kernel(cost.rows(), cost.cols());
-  const double* src = cost.data().data();
-  double* dst = log_kernel.data().data();
-  for (size_t i = 0; i < cost.size(); ++i) dst[i] = -src[i] / epsilon;
-  return DenseLogTransportKernel(std::move(log_kernel), num_threads, pool);
-}
-
-DenseLogTransportKernel DenseLogTransportKernel::FromCost(
-    const CostProvider& cost, double epsilon, size_t num_threads,
-    ThreadPool* pool) {
-  assert(epsilon > 0.0);
-  if (const Matrix* dense = cost.AsMatrix()) {
-    return FromCost(*dense, epsilon, num_threads, pool);
-  }
   const size_t m = cost.rows();
   const size_t n = cost.cols();
   Matrix log_kernel(m, n);
   double* dst = log_kernel.data().data();
-  const size_t threads = ResolveThreadCount(num_threads);
+  if (const Matrix* dense = cost.AsMatrix()) {
+    const double* src = dense->data().data();
+    for (size_t i = 0; i < dense->size(); ++i) dst[i] = -src[i] / epsilon;
+    return log_kernel;
+  }
   // Rows are disjoint and the provider is thread-safe for const calls, so
   // the build parallelizes deterministically; L is filled in place, the
   // raw cost never exists as a matrix.
   ParallelFor(
-      m, threads,
+      m, ResolveThreadCount(num_threads),
       [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r) {
           double* row = dst + r * n;
@@ -84,38 +61,75 @@ DenseLogTransportKernel DenseLogTransportKernel::FromCost(
         }
       },
       GrainForWork(n), pool);
-  return DenseLogTransportKernel(std::move(log_kernel), num_threads, pool);
+  return log_kernel;
 }
 
-void DenseLogTransportKernel::LogApply(const Vector& lv, Vector& out) const {
+}  // namespace
+
+// ----------------------------------------------------------------- Dense --
+
+template <typename T>
+BasicDenseLogTransportKernel<T>::BasicDenseLogTransportKernel(
+    Storage log_kernel, size_t num_threads, ThreadPool* pool)
+    : BasicDenseLogTransportKernel(
+          std::make_shared<const Storage>(std::move(log_kernel)), num_threads,
+          pool) {}
+
+template <typename T>
+BasicDenseLogTransportKernel<T>::BasicDenseLogTransportKernel(
+    std::shared_ptr<const Storage> log_kernel, size_t num_threads,
+    ThreadPool* pool)
+    : log_kernel_(std::move(log_kernel)),
+      threads_(ResolveThreadCount(num_threads)),
+      pool_(pool) {}
+
+template <typename T>
+BasicDenseLogTransportKernel<T> BasicDenseLogTransportKernel<T>::FromCost(
+    const Matrix& cost, double epsilon, size_t num_threads, ThreadPool* pool) {
+  return FromCost(MatrixCostProvider(cost), epsilon, num_threads, pool);
+}
+
+template <typename T>
+BasicDenseLogTransportKernel<T> BasicDenseLogTransportKernel<T>::FromCost(
+    const CostProvider& cost, double epsilon, size_t num_threads,
+    ThreadPool* pool) {
+  return BasicDenseLogTransportKernel(
+      Storage(BuildLogKernel(cost, epsilon, num_threads, pool)), num_threads,
+      pool);
+}
+
+template <typename T>
+void BasicDenseLogTransportKernel<T>::LogApply(const Vector& lv,
+                                               Vector& out) const {
   const size_t m = log_kernel_->rows();
   const size_t n = log_kernel_->cols();
   assert(lv.size() == n);
   if (out.size() != m) out = Vector(m);
-  const double* data = log_kernel_->data().data();
+  const T* data = log_kernel_->data().data();
   const double* lvdata = lv.begin();
   ParallelFor(
       m, threads_,
       [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r) {
-          const double* row = data + r * n;
-          const double mx = simd::AddMaxReduce(row, lvdata, n);
+          const T* row = data + r * n;
+          const double mx = Lanes<T>::AddMaxReduce(row, lvdata, n);
           out[r] = mx == kNegInf
                        ? kNegInf
-                       : mx + std::log(simd::AddExpSumShifted(row, lvdata, mx,
-                                                              n));
+                       : mx + std::log(Lanes<T>::AddExpSumShifted(
+                                  row, lvdata, mx, n));
         }
       },
       GrainForWork(n), pool_);
 }
 
-void DenseLogTransportKernel::LogApplyTranspose(const Vector& lu,
-                                                Vector& out) const {
+template <typename T>
+void BasicDenseLogTransportKernel<T>::LogApplyTranspose(const Vector& lu,
+                                                        Vector& out) const {
   const size_t m = log_kernel_->rows();
   const size_t n = log_kernel_->cols();
   assert(lu.size() == m);
   if (out.size() != n) out = Vector(n);
-  const double* data = log_kernel_->data().data();
+  const T* data = log_kernel_->data().data();
   // Column strips, two passes each (max, then shifted exp-sum): every
   // output column accumulates the rows in ascending order with the
   // bit-identical-across-tiers strip accumulators of simd.h, while the
@@ -135,12 +149,12 @@ void DenseLogTransportKernel::LogApplyTranspose(const Vector& lu,
             // −inf rows carry no mass in any column; skipping them keeps
             // the max pass from ever being the only finite contribution.
             if (lu[r] == kNegInf) continue;
-            simd::AddMaxAccumulate(lu[r], data + r * n + s0, mx.data(), w);
+            Lanes<T>::AddMaxAccumulate(lu[r], data + r * n + s0, mx.data(), w);
           }
           for (size_t r = 0; r < m; ++r) {
             if (lu[r] == kNegInf) continue;
-            simd::AddExpSumAccumulate(lu[r], data + r * n + s0, mx.data(),
-                                      acc.data(), w);
+            Lanes<T>::AddExpSumAccumulate(lu[r], data + r * n + s0,
+                                          mx.data(), acc.data(), w);
           }
           for (size_t c = 0; c < w; ++c) {
             out[s0 + c] =
@@ -151,34 +165,36 @@ void DenseLogTransportKernel::LogApplyTranspose(const Vector& lu,
       GrainForWork(m), pool_);
 }
 
-Matrix DenseLogTransportKernel::ScaleToPlan(const Vector& lu,
-                                            const Vector& lv) const {
+template <typename T>
+Matrix BasicDenseLogTransportKernel<T>::ScaleToPlan(const Vector& lu,
+                                                    const Vector& lv) const {
   const size_t m = log_kernel_->rows();
   const size_t n = log_kernel_->cols();
   assert(lu.size() == m && lv.size() == n);
   Matrix plan(m, n);
-  const double* data = log_kernel_->data().data();
+  const T* data = log_kernel_->data().data();
   const double* lvdata = lv.begin();
   double* out = plan.data().data();
   ParallelFor(
       m, threads_,
       [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r) {
-          simd::AddExpWrite(lu[r], data + r * n, lvdata, out + r * n, n);
+          Lanes<T>::AddExpWrite(lu[r], data + r * n, lvdata, out + r * n, n);
         }
       },
       GrainForWork(n), pool_);
   return plan;
 }
 
-double DenseLogTransportKernel::TransportCost(const CostProvider& cost,
-                                              const Vector& lu,
-                                              const Vector& lv) const {
+template <typename T>
+double BasicDenseLogTransportKernel<T>::TransportCost(const CostProvider& cost,
+                                                      const Vector& lu,
+                                                      const Vector& lv) const {
   const size_t m = log_kernel_->rows();
   const size_t n = log_kernel_->cols();
   assert(cost.rows() == m && cost.cols() == n);
   assert(lu.size() == m && lv.size() == n);
-  const double* data = log_kernel_->data().data();
+  const T* data = log_kernel_->data().data();
   const double* lvdata = lv.begin();
   const Matrix* dense_cost = cost.AsMatrix();
   return BlockedReduce(
@@ -194,8 +210,8 @@ double DenseLogTransportKernel::TransportCost(const CostProvider& cost,
           double row_sum = 0.0;
           for (size_t c0 = 0; c0 < n; c0 += w.size()) {
             const size_t c1 = std::min(n, c0 + w.size());
-            simd::AddExpWrite(lu[r], data + r * n + c0, lvdata + c0, w.data(),
-                              c1 - c0);
+            Lanes<T>::AddExpWrite(lu[r], data + r * n + c0, lvdata + c0,
+                                  w.data(), c1 - c0);
             const double* crow;
             if (dense_cost != nullptr) {
               crow = dense_cost->data().data() + r * n + c0;
@@ -214,42 +230,48 @@ double DenseLogTransportKernel::TransportCost(const CostProvider& cost,
 
 // ---------------------------------------------------------------- Sparse --
 
-SparseLogTransportKernel::SparseLogTransportKernel(SparseMatrix log_kernel,
-                                                   size_t num_threads,
-                                                   ThreadPool* pool)
-    : SparseLogTransportKernel(
-          std::make_shared<const SparseKernelStorage>(std::move(log_kernel)),
-          num_threads, pool) {}
+template <typename T>
+BasicSparseLogTransportKernel<T>::BasicSparseLogTransportKernel(
+    Csr log_kernel, size_t num_threads, ThreadPool* pool)
+    : BasicSparseLogTransportKernel(
+          std::make_shared<const Storage>(std::move(log_kernel)), num_threads,
+          pool) {}
 
-SparseLogTransportKernel::SparseLogTransportKernel(
-    std::shared_ptr<const SparseKernelStorage> storage, size_t num_threads,
+template <typename T>
+BasicSparseLogTransportKernel<T>::BasicSparseLogTransportKernel(
+    std::shared_ptr<const Storage> storage, size_t num_threads,
     ThreadPool* pool)
     : storage_(std::move(storage)),
       threads_(ResolveThreadCount(num_threads)),
       pool_(pool) {}
 
-SparseLogTransportKernel SparseLogTransportKernel::FromCost(
+template <typename T>
+BasicSparseLogTransportKernel<T> BasicSparseLogTransportKernel<T>::FromCost(
     const Matrix& cost, double epsilon, double cutoff, size_t num_threads,
     ThreadPool* pool) {
   return FromCost(MatrixCostProvider(cost), epsilon, cutoff, num_threads,
                   pool);
 }
 
-SparseLogTransportKernel SparseLogTransportKernel::FromCost(
+template <typename T>
+BasicSparseLogTransportKernel<T> BasicSparseLogTransportKernel<T>::FromCost(
     const CostProvider& cost, double epsilon, double cutoff,
     size_t num_threads, ThreadPool* pool) {
   assert(epsilon > 0.0);
-  return SparseLogTransportKernel(
-      SparseMatrix::LogGibbsKernel(cost, epsilon, cutoff), num_threads, pool);
+  return BasicSparseLogTransportKernel(
+      Csr(SparseMatrix::LogGibbsKernel(cost, epsilon, cutoff)), num_threads,
+      pool);
 }
 
-void SparseLogTransportKernel::LogApply(const Vector& lv, Vector& out) const {
+template <typename T>
+void BasicSparseLogTransportKernel<T>::LogApply(const Vector& lv,
+                                                Vector& out) const {
   const size_t m = kern().rows();
   assert(lv.size() == kern().cols());
   if (out.size() != m) out = Vector(m);
   const auto& row_ptr = kern().row_ptr();
   const size_t* cols = kern().col_index().data();
-  const double* values = kern().values().data();
+  const T* values = kern().values().data();
   const double* lvdata = lv.begin();
   ParallelFor(
       m, threads_,
@@ -258,22 +280,23 @@ void SparseLogTransportKernel::LogApply(const Vector& lv, Vector& out) const {
           const size_t k0 = row_ptr[r];
           const size_t len = row_ptr[r + 1] - k0;
           const double mx =
-              simd::GatherAddMaxReduce(values + k0, cols + k0, lvdata, len);
+              Lanes<T>::GatherAddMaxReduce(values + k0, cols + k0, lvdata, len);
           out[r] = mx == kNegInf
                        ? kNegInf
-                       : mx + std::log(simd::GatherAddExpSumShifted(
+                       : mx + std::log(Lanes<T>::GatherAddExpSumShifted(
                                  values + k0, cols + k0, lvdata, mx, len));
         }
       },
       GrainForWork(kern().nnz() / (m == 0 ? 1 : m)), pool_);
 }
 
-void SparseLogTransportKernel::LogApplyTranspose(const Vector& lu,
-                                                 Vector& out) const {
+template <typename T>
+void BasicSparseLogTransportKernel<T>::LogApplyTranspose(const Vector& lu,
+                                                         Vector& out) const {
   const size_t n = kern().cols();
   assert(lu.size() == kern().rows());
   if (out.size() != n) out = Vector(n);
-  const double* csc_values = csc().values.data();
+  const T* csc_values = csc().values.data();
   const size_t* rows = csc().row_index.data();
   const double* ludata = lu.begin();
   // Each output column is owned by one worker and reduced over the CSC
@@ -285,11 +308,11 @@ void SparseLogTransportKernel::LogApplyTranspose(const Vector& lu,
           const size_t k0 = csc().col_ptr[c];
           const size_t len = csc().col_ptr[c + 1] - k0;
           const double mx =
-              simd::GatherAddMaxReduce(csc_values + k0, rows + k0, ludata,
-                                       len);
+              Lanes<T>::GatherAddMaxReduce(csc_values + k0, rows + k0,
+                                           ludata, len);
           out[c] = mx == kNegInf
                        ? kNegInf
-                       : mx + std::log(simd::GatherAddExpSumShifted(
+                       : mx + std::log(Lanes<T>::GatherAddExpSumShifted(
                                  csc_values + k0, rows + k0, ludata, mx,
                                  len));
         }
@@ -297,8 +320,9 @@ void SparseLogTransportKernel::LogApplyTranspose(const Vector& lu,
       GrainForWork(kern().nnz() / (n == 0 ? 1 : n)), pool_);
 }
 
-Matrix SparseLogTransportKernel::ScaleToPlan(const Vector& lu,
-                                             const Vector& lv) const {
+template <typename T>
+Matrix BasicSparseLogTransportKernel<T>::ScaleToPlan(const Vector& lu,
+                                                     const Vector& lv) const {
   const size_t m = kern().rows();
   const size_t n = kern().cols();
   assert(lu.size() == m && lv.size() == n);
@@ -314,8 +338,8 @@ Matrix SparseLogTransportKernel::ScaleToPlan(const Vector& lu,
           for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
             // Same (L + lv) + lu association as the dense AddExpWrite, so
             // cutoff-zero sparse plans match dense ones bit for bit.
-            plan(r, col_index[k]) =
-                simd::PolyExp(values[k] + lv[col_index[k]] + lur);
+            plan(r, col_index[k]) = simd::PolyExp(
+                static_cast<double>(values[k]) + lv[col_index[k]] + lur);
           }
         }
       },
@@ -323,14 +347,14 @@ Matrix SparseLogTransportKernel::ScaleToPlan(const Vector& lu,
   return plan;
 }
 
-SparseMatrix SparseLogTransportKernel::ScaleToPlanSparse(
+template <typename T>
+SparseMatrix BasicSparseLogTransportKernel<T>::ScaleToPlanSparse(
     const Vector& lu, const Vector& lv) const {
   assert(lu.size() == kern().rows() && lv.size() == kern().cols());
-  SparseMatrix plan = kern();
   const auto& row_ptr = kern().row_ptr();
   const size_t* cols = kern().col_index().data();
-  const double* values = kern().values().data();
-  double* out = plan.values().data();
+  const T* values = kern().values().data();
+  std::vector<double> out(kern().nnz());
   const size_t m = kern().rows();
   ParallelFor(
       m, threads_,
@@ -338,18 +362,21 @@ SparseMatrix SparseLogTransportKernel::ScaleToPlanSparse(
         for (size_t r = r0; r < r1; ++r) {
           const double lur = lu[r];
           for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-            out[k] = simd::PolyExp(values[k] + lv[cols[k]] + lur);
+            out[k] =
+                simd::PolyExp(static_cast<double>(values[k]) + lv[cols[k]] +
+                              lur);
           }
         }
       },
       GrainForWork(kern().nnz() / (m == 0 ? 1 : m)), pool_);
-  return plan;
+  return SparseMatrix::FromParts(m, kern().cols(), row_ptr, kern().col_index(),
+                                 std::move(out));
 }
 
-std::vector<double> SparseLogTransportKernel::GatherSupportCosts(
+template <typename T>
+std::vector<double> BasicSparseLogTransportKernel<T>::GatherSupportCosts(
     const CostProvider& cost) const {
-  assert(cost.rows() == kern().rows() &&
-         cost.cols() == kern().cols());
+  assert(cost.rows() == kern().rows() && cost.cols() == kern().cols());
   const auto& row_ptr = kern().row_ptr();
   const size_t* cols = kern().col_index().data();
   std::vector<double> out(kern().nnz());
@@ -360,7 +387,8 @@ std::vector<double> SparseLogTransportKernel::GatherSupportCosts(
   return out;
 }
 
-double SparseLogTransportKernel::SupportTransportCost(
+template <typename T>
+double BasicSparseLogTransportKernel<T>::SupportTransportCost(
     const std::vector<double>& support_costs, const Vector& lu,
     const Vector& lv) const {
   const size_t m = kern().rows();
@@ -368,7 +396,7 @@ double SparseLogTransportKernel::SupportTransportCost(
   assert(lu.size() == m && lv.size() == kern().cols());
   const auto& row_ptr = kern().row_ptr();
   const size_t* cols = kern().col_index().data();
-  const double* values = kern().values().data();
+  const T* values = kern().values().data();
   const double* costs = support_costs.data();
   const double* lvdata = lv.begin();
   return BlockedReduce(
@@ -386,15 +414,15 @@ double SparseLogTransportKernel::SupportTransportCost(
       pool_);
 }
 
-double SparseLogTransportKernel::TransportCost(const CostProvider& cost,
-                                               const Vector& lu,
-                                               const Vector& lv) const {
+template <typename T>
+double BasicSparseLogTransportKernel<T>::TransportCost(
+    const CostProvider& cost, const Vector& lu, const Vector& lv) const {
   const size_t m = kern().rows();
   assert(cost.rows() == m && cost.cols() == kern().cols());
   assert(lu.size() == m && lv.size() == kern().cols());
   const auto& row_ptr = kern().row_ptr();
   const size_t* cols = kern().col_index().data();
-  const double* values = kern().values().data();
+  const T* values = kern().values().data();
   const double* lvdata = lv.begin();
   // O(nnz) cost evaluations at the kernel's support, per-block scratch.
   return BlockedReduce(
@@ -414,5 +442,10 @@ double SparseLogTransportKernel::TransportCost(const CostProvider& cost,
       },
       pool_);
 }
+
+template class BasicDenseLogTransportKernel<double>;
+template class BasicDenseLogTransportKernel<float>;
+template class BasicSparseLogTransportKernel<double>;
+template class BasicSparseLogTransportKernel<float>;
 
 }  // namespace otclean::linalg

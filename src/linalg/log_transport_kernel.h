@@ -69,29 +69,35 @@ class LogTransportKernel {
                                const Vector& lv) const = 0;
 };
 
-/// Dense row-major storage of L = −C/ε.
-class DenseLogTransportKernel final : public LogTransportKernel {
+/// Dense row-major storage of L = −C/ε, held as T (see the storage-scalar
+/// notes in transport_kernel.h).
+template <typename T>
+class BasicDenseLogTransportKernel final : public LogTransportKernel {
  public:
+  using Storage = typename KernelStorageTypes<T>::Dense;
+
   /// Wraps an already-built log-kernel matrix (entries −C/ε).
-  explicit DenseLogTransportKernel(Matrix log_kernel, size_t num_threads = 0,
-                                   ThreadPool* pool = nullptr);
+  explicit BasicDenseLogTransportKernel(Storage log_kernel,
+                                        size_t num_threads = 0,
+                                        ThreadPool* pool = nullptr);
 
   /// Shares an immutable storage built elsewhere (no copy, no rebuild).
-  explicit DenseLogTransportKernel(std::shared_ptr<const Matrix> log_kernel,
-                                   size_t num_threads = 0,
-                                   ThreadPool* pool = nullptr);
+  explicit BasicDenseLogTransportKernel(
+      std::shared_ptr<const Storage> log_kernel, size_t num_threads = 0,
+      ThreadPool* pool = nullptr);
 
   /// Builds L = −C/ε from a dense cost.
-  static DenseLogTransportKernel FromCost(const Matrix& cost, double epsilon,
-                                          size_t num_threads = 0,
-                                          ThreadPool* pool = nullptr);
+  static BasicDenseLogTransportKernel FromCost(const Matrix& cost,
+                                               double epsilon,
+                                               size_t num_threads = 0,
+                                               ThreadPool* pool = nullptr);
 
   /// Same, streaming the provider tile-by-tile into L — the raw cost
   /// matrix is never materialized (only L is, it being the dense backing).
-  static DenseLogTransportKernel FromCost(const CostProvider& cost,
-                                          double epsilon,
-                                          size_t num_threads = 0,
-                                          ThreadPool* pool = nullptr);
+  static BasicDenseLogTransportKernel FromCost(const CostProvider& cost,
+                                               double epsilon,
+                                               size_t num_threads = 0,
+                                               ThreadPool* pool = nullptr);
 
   size_t rows() const override { return log_kernel_->rows(); }
   size_t cols() const override { return log_kernel_->cols(); }
@@ -104,14 +110,14 @@ class DenseLogTransportKernel final : public LogTransportKernel {
   double TransportCost(const CostProvider& cost, const Vector& lu,
                        const Vector& lv) const override;
 
-  const Matrix& log_kernel() const { return *log_kernel_; }
+  const Storage& log_kernel() const { return *log_kernel_; }
   /// The underlying storage handle, for sharing (core::SolveCache).
-  const std::shared_ptr<const Matrix>& shared_log_kernel() const {
+  const std::shared_ptr<const Storage>& shared_storage() const {
     return log_kernel_;
   }
 
  private:
-  std::shared_ptr<const Matrix> log_kernel_;
+  std::shared_ptr<const Storage> log_kernel_;
   size_t threads_;
   ThreadPool* pool_;
 };
@@ -121,31 +127,35 @@ class DenseLogTransportKernel final : public LogTransportKernel {
 /// (SparseMatrix::LogGibbsKernel), so CheckTruncatedKernelSupport and the
 /// plan's sparsity pattern carry over unchanged. Entries not stored are
 /// −inf ("impossible move"), the log-domain analog of the linear kernel's
-/// structural zeros. Construction builds the shared CscMirror so the
+/// structural zeros. Construction builds the shared CSC mirror so the
 /// transpose LSE is a deterministic gather.
-class SparseLogTransportKernel final : public LogTransportKernel {
+template <typename T>
+class BasicSparseLogTransportKernel final : public LogTransportKernel {
  public:
-  explicit SparseLogTransportKernel(SparseMatrix log_kernel,
-                                    size_t num_threads = 0,
-                                    ThreadPool* pool = nullptr);
+  using Storage = BasicSparseKernelStorage<T>;
+  using Csr = typename Storage::Csr;
+
+  explicit BasicSparseLogTransportKernel(Csr log_kernel,
+                                         size_t num_threads = 0,
+                                         ThreadPool* pool = nullptr);
 
   /// Shares an immutable storage built elsewhere (no copy, no rebuild —
   /// the CSC mirror comes along for free).
-  explicit SparseLogTransportKernel(
-      std::shared_ptr<const SparseKernelStorage> storage,
-      size_t num_threads = 0, ThreadPool* pool = nullptr);
+  explicit BasicSparseLogTransportKernel(
+      std::shared_ptr<const Storage> storage, size_t num_threads = 0,
+      ThreadPool* pool = nullptr);
 
   /// Builds the truncated log-kernel from a streamed cost; `cutoff` is in
   /// *kernel* space exactly as for SparseTransportKernel::FromCost (drop
   /// where e^{−C/ε} < cutoff), cutoff 0 keeps every entry.
-  static SparseLogTransportKernel FromCost(const CostProvider& cost,
-                                           double epsilon, double cutoff,
-                                           size_t num_threads = 0,
-                                           ThreadPool* pool = nullptr);
-  static SparseLogTransportKernel FromCost(const Matrix& cost, double epsilon,
-                                           double cutoff,
-                                           size_t num_threads = 0,
-                                           ThreadPool* pool = nullptr);
+  static BasicSparseLogTransportKernel FromCost(const CostProvider& cost,
+                                                double epsilon, double cutoff,
+                                                size_t num_threads = 0,
+                                                ThreadPool* pool = nullptr);
+  static BasicSparseLogTransportKernel FromCost(const Matrix& cost,
+                                                double epsilon, double cutoff,
+                                                size_t num_threads = 0,
+                                                ThreadPool* pool = nullptr);
 
   size_t rows() const override { return kern().rows(); }
   size_t cols() const override { return kern().cols(); }
@@ -172,20 +182,28 @@ class SparseLogTransportKernel final : public LogTransportKernel {
   double SupportTransportCost(const std::vector<double>& support_costs,
                               const Vector& lu, const Vector& lv) const;
 
-  const SparseMatrix& log_kernel() const { return kern(); }
+  const Csr& log_kernel() const { return kern(); }
   /// The underlying storage handle, for sharing (core::SolveCache).
-  const std::shared_ptr<const SparseKernelStorage>& shared_storage() const {
+  const std::shared_ptr<const Storage>& shared_storage() const {
     return storage_;
   }
 
  private:
-  const SparseMatrix& kern() const { return storage_->matrix; }
-  const CscMirror& csc() const { return storage_->csc; }
+  const Csr& kern() const { return storage_->matrix; }
+  const BasicCscMirror<T>& csc() const { return storage_->csc; }
 
-  std::shared_ptr<const SparseKernelStorage> storage_;
+  std::shared_ptr<const Storage> storage_;
   size_t threads_;
   ThreadPool* pool_;
 };
+
+extern template class BasicDenseLogTransportKernel<double>;
+extern template class BasicDenseLogTransportKernel<float>;
+extern template class BasicSparseLogTransportKernel<double>;
+extern template class BasicSparseLogTransportKernel<float>;
+
+using DenseLogTransportKernel = BasicDenseLogTransportKernel<double>;
+using SparseLogTransportKernel = BasicSparseLogTransportKernel<double>;
 
 }  // namespace otclean::linalg
 

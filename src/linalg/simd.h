@@ -262,6 +262,61 @@ void AddExpSumAccumulateF32(double c, const float* a, const double* shift,
 void AddExpWriteF32(double shift, const float* a, const double* b,
                     double* out, size_t n);
 
+// ------------------------------------------------- storage-scalar lanes --
+//
+// The kernel templates (transport_kernel.h, log_transport_kernel.h) are
+// written once over their storage scalar T and reach every hot loop
+// through StorageLanes<T>: the f64 primitives for T = double, their F32
+// twins for T = float. The entries are compile-time function references,
+// so picking the lane costs nothing at run time.
+
+template <typename T>
+struct StorageLanes;
+
+template <>
+struct StorageLanes<double> {
+  static constexpr auto& Dot = simd::Dot;
+  static constexpr auto& Dot3 = simd::Dot3;
+  static constexpr auto& GatherDot = simd::GatherDot;
+  static constexpr auto& GatherDot3 = simd::GatherDot3;
+  static constexpr auto& AxpyRows = simd::AxpyRows;
+  static constexpr auto& ScaledHadamard = simd::ScaledHadamard;
+  static constexpr auto& GatherScaledHadamard = simd::GatherScaledHadamard;
+  static constexpr auto& AddMaxReduce = simd::AddMaxReduce;
+  static constexpr auto& AddExpSumShifted = simd::AddExpSumShifted;
+  static constexpr auto& GatherAddMaxReduce = simd::GatherAddMaxReduce;
+  static constexpr auto& GatherAddExpSumShifted =
+      simd::GatherAddExpSumShifted;
+  static constexpr auto& AddMaxAccumulate = simd::AddMaxAccumulate;
+  static constexpr auto& AddExpSumAccumulate = simd::AddExpSumAccumulate;
+  static constexpr auto& AddExpWrite = simd::AddExpWrite;
+  /// The CSC transpose-apply gather of a sparse linear kernel — the one
+  /// per-scalar CONTRACT difference (see the asymmetry note above): f64
+  /// keeps the sequential chain that makes sparse-at-full-support
+  /// bit-match the dense transpose; f32 takes the lane-parallel gather.
+  static constexpr auto& TransposeGatherDot = simd::GatherDotSequential;
+};
+
+template <>
+struct StorageLanes<float> {
+  static constexpr auto& Dot = simd::DotF32;
+  static constexpr auto& Dot3 = simd::Dot3F32;
+  static constexpr auto& GatherDot = simd::GatherDotF32;
+  static constexpr auto& GatherDot3 = simd::GatherDot3F32;
+  static constexpr auto& AxpyRows = simd::AxpyRowsF32;
+  static constexpr auto& ScaledHadamard = simd::ScaledHadamardF32;
+  static constexpr auto& GatherScaledHadamard = simd::GatherScaledHadamardF32;
+  static constexpr auto& AddMaxReduce = simd::AddMaxReduceF32;
+  static constexpr auto& AddExpSumShifted = simd::AddExpSumShiftedF32;
+  static constexpr auto& GatherAddMaxReduce = simd::GatherAddMaxReduceF32;
+  static constexpr auto& GatherAddExpSumShifted =
+      simd::GatherAddExpSumShiftedF32;
+  static constexpr auto& AddMaxAccumulate = simd::AddMaxAccumulateF32;
+  static constexpr auto& AddExpSumAccumulate = simd::AddExpSumAccumulateF32;
+  static constexpr auto& AddExpWrite = simd::AddExpWriteF32;
+  static constexpr auto& TransposeGatherDot = simd::GatherDotF32;
+};
+
 namespace detail {
 
 /// The dispatch table one ISA translation unit fills in.

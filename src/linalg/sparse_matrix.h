@@ -23,10 +23,9 @@ class SparseMatrix {
   static SparseMatrix FromDense(const Matrix& dense, double threshold = 0.0);
 
   /// Assembles from already-built CSR parts (no validation beyond sizes
-  /// being consistent — callers hand over structure they own). Lets code
-  /// that keeps a CSR structure outside a SparseMatrix (e.g. the f32
-  /// kernel storage) materialize plans with that structure without a
-  /// dense round-trip.
+  /// being consistent — callers hand over structure they own). Lets the
+  /// sparse kernels materialize plans on their own CSR structure (f64 or
+  /// f32 values) without a dense round-trip.
   static SparseMatrix FromParts(size_t rows, size_t cols,
                                 std::vector<size_t> row_ptr,
                                 std::vector<size_t> col_index,

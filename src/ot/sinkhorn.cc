@@ -6,12 +6,13 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "core/solve_cache.h"
+#include "linalg/log_transport_kernel.h"
 #include "linalg/parallel_for.h"
 #include "linalg/thread_pool.h"
-#include "linalg/transport_kernel_f32.h"
 
 namespace otclean::ot {
 
@@ -294,12 +295,18 @@ struct CacheSession {
 
   bool active() const { return cache != nullptr; }
 
-  std::optional<core::CachedKernel> Find() {
-    return active() ? cache->FindKernel(key) : std::nullopt;
-  }
-
-  void Publish(core::CachedKernel built) {
-    if (active()) cache->InsertKernel(key, std::move(built));
+  /// Find-or-build of a `Kernel` from `Kernel::FromCost(args...)` under
+  /// the session key (a plain build when the session is inactive).
+  template <typename Kernel, typename... Args>
+  std::unique_ptr<Kernel> Acquire(size_t num_threads, linalg::ThreadPool* pool,
+                                  const Args&... args) {
+    return std::make_unique<Kernel>(
+        core::AcquireKernel<Kernel>(
+            cache, key, num_threads, pool,
+            [&](core::CachedKernel&) {
+              return Kernel::FromCost(args..., num_threads, pool);
+            })
+            .kernel);
   }
 
   /// Redirects null warm pointers at the stored potentials (caller's
@@ -384,7 +391,6 @@ Result<EpsilonAnnealStage> RunAnnealStage(
     const linalg::Vector& q, const SinkhornOptions& stage_options,
     bool sparse, double cutoff, linalg::Vector& u, linalg::Vector& v,
     linalg::ThreadPool* pool) {
-  const bool f32 = stage_options.precision == linalg::Precision::kFloat32;
   const size_t threads = stage_options.num_threads;
   const double eps = stage_options.epsilon;
   CacheSession session(stage_options, cost.rows(), cost.cols(),
@@ -397,68 +403,17 @@ Result<EpsilonAnnealStage> RunAnnealStage(
   // solve's check governs. An emptied stage row merely yields a zero
   // potential there, which the final solve overwrites or rejects.
   if (stage_options.log_domain) {
-    std::unique_ptr<const linalg::LogTransportKernel> kernel;
-    if (sparse && f32) {
-      std::shared_ptr<const linalg::SparseKernelStorageF32> shared;
-      if (auto hit = session.Find()) shared = hit->sparse_f32;
-      if (shared != nullptr) {
-        kernel = std::make_unique<linalg::SparseLogTransportKernelF32>(
-            std::move(shared), threads, pool);
-      } else {
-        auto built_kernel = linalg::SparseLogTransportKernelF32::FromCost(
-            cost, eps, cutoff, threads, pool);
-        core::CachedKernel built;
-        built.sparse_f32 = built_kernel.shared_storage();
-        session.Publish(std::move(built));
-        kernel = std::make_unique<linalg::SparseLogTransportKernelF32>(
-            std::move(built_kernel));
-      }
-    } else if (sparse) {
-      std::shared_ptr<const linalg::SparseKernelStorage> shared;
-      if (auto hit = session.Find()) shared = hit->sparse;
-      if (shared != nullptr) {
-        kernel = std::make_unique<linalg::SparseLogTransportKernel>(
-            std::move(shared), threads, pool);
-      } else {
-        auto built_kernel = linalg::SparseLogTransportKernel::FromCost(
-            cost, eps, cutoff, threads, pool);
-        core::CachedKernel built;
-        built.sparse = built_kernel.shared_storage();
-        session.Publish(std::move(built));
-        kernel = std::make_unique<linalg::SparseLogTransportKernel>(
-            std::move(built_kernel));
-      }
-    } else if (f32) {
-      std::shared_ptr<const linalg::DenseKernelStorageF32> shared;
-      if (auto hit = session.Find()) shared = hit->dense_f32;
-      if (shared != nullptr) {
-        kernel = std::make_unique<linalg::DenseLogTransportKernelF32>(
-            std::move(shared), threads, pool);
-      } else {
-        auto built_kernel = linalg::DenseLogTransportKernelF32::FromCost(
-            cost, eps, threads, pool);
-        core::CachedKernel built;
-        built.dense_f32 = built_kernel.shared_storage();
-        session.Publish(std::move(built));
-        kernel = std::make_unique<linalg::DenseLogTransportKernelF32>(
-            std::move(built_kernel));
-      }
-    } else {
-      std::shared_ptr<const linalg::Matrix> shared;
-      if (auto hit = session.Find()) shared = hit->dense;
-      if (shared != nullptr) {
-        kernel = std::make_unique<linalg::DenseLogTransportKernel>(
-            std::move(shared), threads, pool);
-      } else {
-        auto built_kernel = linalg::DenseLogTransportKernel::FromCost(
-            cost, eps, threads, pool);
-        core::CachedKernel built;
-        built.dense = built_kernel.shared_log_kernel();
-        session.Publish(std::move(built));
-        kernel = std::make_unique<linalg::DenseLogTransportKernel>(
-            std::move(built_kernel));
-      }
-    }
+    const auto kernel = linalg::WithKernelScalar(
+        stage_options.precision,
+        [&](auto scalar) -> std::unique_ptr<const linalg::LogTransportKernel> {
+          using T = decltype(scalar);
+          if (sparse) {
+            return session.Acquire<linalg::BasicSparseLogTransportKernel<T>>(
+                threads, pool, cost, eps, cutoff);
+          }
+          return session.Acquire<linalg::BasicDenseLogTransportKernel<T>>(
+              threads, pool, cost, eps);
+        });
     std::optional<linalg::Vector> lu, lv;
     WarmLogPotentials(&u, u.size(), lu);
     WarmLogPotentials(&v, v.size(), lv);
@@ -477,70 +432,17 @@ Result<EpsilonAnnealStage> RunAnnealStage(
   // (same support, streamed build) so the stage never materializes the
   // cost matrix.
   const linalg::Matrix* dense_cost = cost.AsMatrix();
-  const bool use_sparse = sparse || dense_cost == nullptr;
-  const double stage_cutoff = sparse ? cutoff : 0.0;
-  std::unique_ptr<const linalg::TransportKernel> kernel;
-  if (use_sparse && f32) {
-    std::shared_ptr<const linalg::SparseKernelStorageF32> shared;
-    if (auto hit = session.Find()) shared = hit->sparse_f32;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::SparseTransportKernelF32>(
-          std::move(shared), threads, pool);
-    } else {
-      auto built_kernel = linalg::SparseTransportKernelF32::FromCost(
-          cost, eps, stage_cutoff, threads, pool);
-      core::CachedKernel built;
-      built.sparse_f32 = built_kernel.shared_storage();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::SparseTransportKernelF32>(
-          std::move(built_kernel));
-    }
-  } else if (use_sparse) {
-    std::shared_ptr<const linalg::SparseKernelStorage> shared;
-    if (auto hit = session.Find()) shared = hit->sparse;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::SparseTransportKernel>(
-          std::move(shared), threads, pool);
-    } else {
-      auto built_kernel = linalg::SparseTransportKernel::FromCost(
-          cost, eps, stage_cutoff, threads, pool);
-      core::CachedKernel built;
-      built.sparse = built_kernel.shared_storage();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::SparseTransportKernel>(
-          std::move(built_kernel));
-    }
-  } else if (f32) {
-    std::shared_ptr<const linalg::DenseKernelStorageF32> shared;
-    if (auto hit = session.Find()) shared = hit->dense_f32;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::DenseTransportKernelF32>(
-          std::move(shared), threads, pool);
-    } else {
-      auto built_kernel = linalg::DenseTransportKernelF32::FromCost(
-          *dense_cost, eps, threads, pool);
-      core::CachedKernel built;
-      built.dense_f32 = built_kernel.shared_storage();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::DenseTransportKernelF32>(
-          std::move(built_kernel));
-    }
-  } else {
-    std::shared_ptr<const linalg::Matrix> shared;
-    if (auto hit = session.Find()) shared = hit->dense;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::DenseTransportKernel>(
-          std::move(shared), threads, pool);
-    } else {
-      auto built_kernel = linalg::DenseTransportKernel::FromCost(
-          *dense_cost, eps, threads, pool);
-      core::CachedKernel built;
-      built.dense = built_kernel.shared_kernel();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::DenseTransportKernel>(
-          std::move(built_kernel));
-    }
-  }
+  const auto kernel = linalg::WithKernelScalar(
+      stage_options.precision,
+      [&](auto scalar) -> std::unique_ptr<const linalg::TransportKernel> {
+        using T = decltype(scalar);
+        if (sparse || dense_cost == nullptr) {
+          return session.Acquire<linalg::BasicSparseTransportKernel<T>>(
+              threads, pool, cost, eps, sparse ? cutoff : 0.0);
+        }
+        return session.Acquire<linalg::BasicDenseTransportKernel<T>>(
+            threads, pool, *dense_cost, eps);
+      });
   OTCLEAN_ASSIGN_OR_RETURN(
       SinkhornScaling scaling,
       RunSinkhornScaling(*kernel, p, q, stage_options, &u, &v));
@@ -573,38 +475,13 @@ Result<SinkhornResult> RunSinkhornLogDomain(const linalg::Matrix& cost,
     warm_u = &anneal.u;
     warm_v = &anneal.v;
   }
-  std::unique_ptr<const linalg::LogTransportKernel> kernel;
-  if (options.precision == linalg::Precision::kFloat32) {
-    std::shared_ptr<const linalg::DenseKernelStorageF32> shared;
-    if (auto hit = session.Find()) shared = hit->dense_f32;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::DenseLogTransportKernelF32>(
-          std::move(shared), options.num_threads, pool);
-    } else {
-      auto built_kernel = linalg::DenseLogTransportKernelF32::FromCost(
-          cost, options.epsilon, options.num_threads, pool);
-      core::CachedKernel built;
-      built.dense_f32 = built_kernel.shared_storage();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::DenseLogTransportKernelF32>(
-          std::move(built_kernel));
-    }
-  } else {
-    std::shared_ptr<const linalg::Matrix> shared;
-    if (auto hit = session.Find()) shared = hit->dense;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::DenseLogTransportKernel>(
-          std::move(shared), options.num_threads, pool);
-    } else {
-      auto built_kernel = linalg::DenseLogTransportKernel::FromCost(
-          cost, options.epsilon, options.num_threads, pool);
-      core::CachedKernel built;
-      built.dense = built_kernel.shared_log_kernel();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::DenseLogTransportKernel>(
-          std::move(built_kernel));
-    }
-  }
+  const auto kernel = linalg::WithKernelScalar(
+      options.precision,
+      [&](auto scalar) -> std::unique_ptr<const linalg::LogTransportKernel> {
+        return session.Acquire<
+            linalg::BasicDenseLogTransportKernel<decltype(scalar)>>(
+            options.num_threads, pool, cost, options.epsilon);
+      });
   std::optional<linalg::Vector> warm_lu, warm_lv;
   WarmLogPotentials(warm_u, cost.rows(), warm_lu);
   WarmLogPotentials(warm_v, cost.cols(), warm_lv);
@@ -795,38 +672,13 @@ Result<SinkhornResult> RunSinkhorn(const linalg::Matrix& cost,
     warm_u = &anneal.u;
     warm_v = &anneal.v;
   }
-  std::unique_ptr<const linalg::TransportKernel> kernel;
-  if (options.precision == linalg::Precision::kFloat32) {
-    std::shared_ptr<const linalg::DenseKernelStorageF32> shared;
-    if (auto hit = session.Find()) shared = hit->dense_f32;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::DenseTransportKernelF32>(
-          std::move(shared), options.num_threads, pool);
-    } else {
-      auto built_kernel = linalg::DenseTransportKernelF32::FromCost(
-          cost, options.epsilon, options.num_threads, pool);
-      core::CachedKernel built;
-      built.dense_f32 = built_kernel.shared_storage();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::DenseTransportKernelF32>(
-          std::move(built_kernel));
-    }
-  } else {
-    std::shared_ptr<const linalg::Matrix> shared;
-    if (auto hit = session.Find()) shared = hit->dense;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::DenseTransportKernel>(
-          std::move(shared), options.num_threads, pool);
-    } else {
-      auto built_kernel = linalg::DenseTransportKernel::FromCost(
-          cost, options.epsilon, options.num_threads, pool);
-      core::CachedKernel built;
-      built.dense = built_kernel.shared_kernel();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::DenseTransportKernel>(
-          std::move(built_kernel));
-    }
-  }
+  const auto kernel = linalg::WithKernelScalar(
+      options.precision,
+      [&](auto scalar) -> std::unique_ptr<const linalg::TransportKernel> {
+        return session.Acquire<
+            linalg::BasicDenseTransportKernel<decltype(scalar)>>(
+            options.num_threads, pool, cost, options.epsilon);
+      });
   OTCLEAN_ASSIGN_OR_RETURN(
       SinkhornScaling scaling,
       RunSinkhornScaling(*kernel, p, q, options, warm_u, warm_v));
@@ -843,13 +695,13 @@ Result<SinkhornResult> RunSinkhorn(const linalg::Matrix& cost,
   return result;
 }
 
-Status CheckTruncatedKernelSupport(const linalg::SparseMatrix& kernel,
+Status CheckTruncatedKernelSupport(const std::vector<size_t>& row_ptr,
+                                   const std::vector<size_t>& col_ptr,
                                    const linalg::Vector* p,
                                    const linalg::Vector* q,
                                    const char* where) {
-  const auto& row_ptr = kernel.row_ptr();
   if (p != nullptr) {
-    for (size_t r = 0; r < kernel.rows(); ++r) {
+    for (size_t r = 0; r + 1 < row_ptr.size(); ++r) {
       if ((*p)[r] > 0.0 && row_ptr[r + 1] == row_ptr[r]) {
         return Status::InvalidArgument(
             std::string(where) + ": truncation emptied kernel row " +
@@ -860,39 +712,8 @@ Status CheckTruncatedKernelSupport(const linalg::SparseMatrix& kernel,
     }
   }
   if (q != nullptr) {
-    std::vector<bool> col_nonempty(kernel.cols(), false);
-    for (size_t c : kernel.col_index()) col_nonempty[c] = true;
-    for (size_t c = 0; c < kernel.cols(); ++c) {
-      if ((*q)[c] > 0.0 && !col_nonempty[c]) {
-        return Status::InvalidArgument(
-            std::string(where) + ": truncation emptied kernel column " +
-            std::to_string(c) + " which carries target mass " +
-            std::to_string((*q)[c]) +
-            " — that mass would be stranded; lower the kernel cutoff");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status CheckTruncatedKernelSupport(const linalg::SparseKernelStorageF32& kernel,
-                                   const linalg::Vector* p,
-                                   const linalg::Vector* q,
-                                   const char* where) {
-  if (p != nullptr) {
-    for (size_t r = 0; r < kernel.rows; ++r) {
-      if ((*p)[r] > 0.0 && kernel.row_ptr[r + 1] == kernel.row_ptr[r]) {
-        return Status::InvalidArgument(
-            std::string(where) + ": truncation emptied kernel row " +
-            std::to_string(r) + " which carries source mass " +
-            std::to_string((*p)[r]) +
-            " — that mass would be stranded; lower the kernel cutoff");
-      }
-    }
-  }
-  if (q != nullptr) {
-    for (size_t c = 0; c < kernel.cols; ++c) {
-      if ((*q)[c] > 0.0 && kernel.col_ptr[c + 1] == kernel.col_ptr[c]) {
+    for (size_t c = 0; c + 1 < col_ptr.size(); ++c) {
+      if ((*q)[c] > 0.0 && col_ptr[c + 1] == col_ptr[c]) {
         return Status::InvalidArgument(
             std::string(where) + ": truncation emptied kernel column " +
             std::to_string(c) + " which carries target mass " +
@@ -975,51 +796,49 @@ double PlanEntropy(const linalg::Matrix& plan) {
 
 namespace {
 
-/// Shared tail of the sparse linear branches (f64 and f32 kernels):
-/// engine loop + CSR plan + streamed cost + warm-store bookkeeping.
+/// The sparse solve on a built (or cached) kernel of either domain and
+/// storage scalar: support check, engine loop, CSR plan, streamed cost and
+/// warm-store bookkeeping. The log kernels lift linear warm starts to
+/// log-potentials and exponentiate the converged ones back.
 template <typename Kernel>
-Result<SparseSinkhornResult> FinishSparseLinear(
+Result<SparseSinkhornResult> SolveSparse(
     const Kernel& kernel, const linalg::CostProvider& cost,
     const linalg::Vector& p, const linalg::Vector& q,
-    const SinkhornOptions& options, const linalg::Vector* warm_u,
-    const linalg::Vector* warm_v, CacheSession& session) {
-  OTCLEAN_ASSIGN_OR_RETURN(
-      SinkhornScaling scaling,
-      RunSinkhornScaling(kernel, p, q, options, warm_u, warm_v));
+    const linalg::Vector* q_check, const SinkhornOptions& options,
+    const linalg::Vector* warm_u, const linalg::Vector* warm_v,
+    CacheSession& session) {
+  // Support depends on p/q, not just the kernel — re-check on hits too.
+  const auto& storage = *kernel.shared_storage();
+  OTCLEAN_RETURN_NOT_OK(CheckTruncatedKernelSupport(
+      storage.matrix.row_ptr(), storage.csc.col_ptr, &p, q_check,
+      "RunSinkhornSparse"));
   SparseSinkhornResult result;
-  result.plan = kernel.ScaleToPlanSparse(scaling.u, scaling.v);
-  result.transport_cost = kernel.TransportCost(cost, scaling.u, scaling.v);
-  result.u = std::move(scaling.u);
-  result.v = std::move(scaling.v);
-  result.iterations = scaling.iterations;
-  result.converged = scaling.converged;
-  session.Finish(result.u, result.v, result.iterations, result.converged);
-  return result;
-}
-
-/// Log twin: lifts linear warm starts to log-potentials and exps the
-/// converged potentials back.
-template <typename Kernel>
-Result<SparseSinkhornResult> FinishSparseLog(
-    const Kernel& kernel, const linalg::CostProvider& cost,
-    const linalg::Vector& p, const linalg::Vector& q,
-    const SinkhornOptions& options, const linalg::Vector* warm_u,
-    const linalg::Vector* warm_v, CacheSession& session) {
-  std::optional<linalg::Vector> warm_lu, warm_lv;
-  WarmLogPotentials(warm_u, cost.rows(), warm_lu);
-  WarmLogPotentials(warm_v, cost.cols(), warm_lv);
-  OTCLEAN_ASSIGN_OR_RETURN(
-      SinkhornLogScaling scaling,
-      RunSinkhornLogScaling(kernel, p, q, options,
-                            warm_lu ? &*warm_lu : nullptr,
-                            warm_lv ? &*warm_lv : nullptr));
-  SparseSinkhornResult result;
-  result.plan = kernel.ScaleToPlanSparse(scaling.lu, scaling.lv);
-  result.transport_cost = kernel.TransportCost(cost, scaling.lu, scaling.lv);
-  ExpPotentials(scaling.lu, result.u);
-  ExpPotentials(scaling.lv, result.v);
-  result.iterations = scaling.iterations;
-  result.converged = scaling.converged;
+  if constexpr (std::is_base_of_v<linalg::LogTransportKernel, Kernel>) {
+    std::optional<linalg::Vector> warm_lu, warm_lv;
+    WarmLogPotentials(warm_u, cost.rows(), warm_lu);
+    WarmLogPotentials(warm_v, cost.cols(), warm_lv);
+    OTCLEAN_ASSIGN_OR_RETURN(
+        SinkhornLogScaling scaling,
+        RunSinkhornLogScaling(kernel, p, q, options,
+                              warm_lu ? &*warm_lu : nullptr,
+                              warm_lv ? &*warm_lv : nullptr));
+    result.plan = kernel.ScaleToPlanSparse(scaling.lu, scaling.lv);
+    result.transport_cost = kernel.TransportCost(cost, scaling.lu, scaling.lv);
+    ExpPotentials(scaling.lu, result.u);
+    ExpPotentials(scaling.lv, result.v);
+    result.iterations = scaling.iterations;
+    result.converged = scaling.converged;
+  } else {
+    OTCLEAN_ASSIGN_OR_RETURN(
+        SinkhornScaling scaling,
+        RunSinkhornScaling(kernel, p, q, options, warm_u, warm_v));
+    result.plan = kernel.ScaleToPlanSparse(scaling.u, scaling.v);
+    result.transport_cost = kernel.TransportCost(cost, scaling.u, scaling.v);
+    result.u = std::move(scaling.u);
+    result.v = std::move(scaling.v);
+    result.iterations = scaling.iterations;
+    result.converged = scaling.converged;
+  }
   session.Finish(result.u, result.v, result.iterations, result.converged);
   return result;
 }
@@ -1070,106 +889,25 @@ Result<SparseSinkhornResult> RunSinkhornSparse(
     warm_v = &anneal.v;
   }
 
-  const bool f32 = options.precision == linalg::Precision::kFloat32;
-  SparseSinkhornResult result;
-  if (options.log_domain && f32) {
-    std::shared_ptr<const linalg::SparseKernelStorageF32> shared;
-    if (auto hit = session.Find()) shared = hit->sparse_f32;
-    const bool kernel_hit = shared != nullptr;
-    const linalg::SparseLogTransportKernelF32 kernel =
-        kernel_hit
-            ? linalg::SparseLogTransportKernelF32(std::move(shared),
-                                                  options.num_threads, pool)
-            : linalg::SparseLogTransportKernelF32::FromCost(
-                  cost, options.epsilon, kernel_cutoff, options.num_threads,
-                  pool);
-    if (!kernel_hit) {
-      core::CachedKernel built;
-      built.sparse_f32 = kernel.shared_storage();
-      session.Publish(std::move(built));
-    }
-    // Support depends on p/q, not just the kernel — re-check on hits too.
-    if (Status s = CheckTruncatedKernelSupport(*kernel.shared_storage(), &p,
-                                               q_check, "RunSinkhornSparse");
-        !s.ok()) {
-      return s;
-    }
-    OTCLEAN_ASSIGN_OR_RETURN(
-        result, FinishSparseLog(kernel, cost, p, q, options, warm_u, warm_v,
-                                session));
-  } else if (options.log_domain) {
-    std::shared_ptr<const linalg::SparseKernelStorage> shared;
-    if (auto hit = session.Find()) shared = hit->sparse;
-    const bool kernel_hit = shared != nullptr;
-    const linalg::SparseLogTransportKernel kernel =
-        kernel_hit
-            ? linalg::SparseLogTransportKernel(std::move(shared),
-                                               options.num_threads, pool)
-            : linalg::SparseLogTransportKernel::FromCost(
-                  cost, options.epsilon, kernel_cutoff, options.num_threads,
-                  pool);
-    if (!kernel_hit) {
-      core::CachedKernel built;
-      built.sparse = kernel.shared_storage();
-      session.Publish(std::move(built));
-    }
-    // Support depends on p/q, not just the kernel — re-check on hits too.
-    if (Status s = CheckTruncatedKernelSupport(kernel.log_kernel(), &p,
-                                               q_check, "RunSinkhornSparse");
-        !s.ok()) {
-      return s;
-    }
-    OTCLEAN_ASSIGN_OR_RETURN(
-        result, FinishSparseLog(kernel, cost, p, q, options, warm_u, warm_v,
-                                session));
-  } else if (f32) {
-    std::shared_ptr<const linalg::SparseKernelStorageF32> shared;
-    if (auto hit = session.Find()) shared = hit->sparse_f32;
-    const bool kernel_hit = shared != nullptr;
-    const linalg::SparseTransportKernelF32 kernel =
-        kernel_hit ? linalg::SparseTransportKernelF32(std::move(shared),
-                                                      options.num_threads,
-                                                      pool)
-                   : linalg::SparseTransportKernelF32::FromCost(
-                         cost, options.epsilon, kernel_cutoff,
-                         options.num_threads, pool);
-    if (!kernel_hit) {
-      core::CachedKernel built;
-      built.sparse_f32 = kernel.shared_storage();
-      session.Publish(std::move(built));
-    }
-    if (Status s = CheckTruncatedKernelSupport(*kernel.shared_storage(), &p,
-                                               q_check, "RunSinkhornSparse");
-        !s.ok()) {
-      return s;
-    }
-    OTCLEAN_ASSIGN_OR_RETURN(
-        result, FinishSparseLinear(kernel, cost, p, q, options, warm_u,
-                                   warm_v, session));
-  } else {
-    std::shared_ptr<const linalg::SparseKernelStorage> shared;
-    if (auto hit = session.Find()) shared = hit->sparse;
-    const bool kernel_hit = shared != nullptr;
-    const linalg::SparseTransportKernel kernel =
-        kernel_hit ? linalg::SparseTransportKernel(std::move(shared),
-                                                   options.num_threads, pool)
-                   : linalg::SparseTransportKernel::FromCost(
-                         cost, options.epsilon, kernel_cutoff,
-                         options.num_threads, pool);
-    if (!kernel_hit) {
-      core::CachedKernel built;
-      built.sparse = kernel.shared_storage();
-      session.Publish(std::move(built));
-    }
-    if (Status s = CheckTruncatedKernelSupport(kernel.kernel(), &p, q_check,
-                                               "RunSinkhornSparse");
-        !s.ok()) {
-      return s;
-    }
-    OTCLEAN_ASSIGN_OR_RETURN(
-        result, FinishSparseLinear(kernel, cost, p, q, options, warm_u,
-                                   warm_v, session));
-  }
+  OTCLEAN_ASSIGN_OR_RETURN(
+      SparseSinkhornResult result,
+      linalg::WithKernelScalar(
+          options.precision,
+          [&](auto scalar) -> Result<SparseSinkhornResult> {
+            using T = decltype(scalar);
+            if (options.log_domain) {
+              return SolveSparse(
+                  *session.Acquire<linalg::BasicSparseLogTransportKernel<T>>(
+                      options.num_threads, pool, cost, options.epsilon,
+                      kernel_cutoff),
+                  cost, p, q, q_check, options, warm_u, warm_v, session);
+            }
+            return SolveSparse(
+                *session.Acquire<linalg::BasicSparseTransportKernel<T>>(
+                    options.num_threads, pool, cost, options.epsilon,
+                    kernel_cutoff),
+                cost, p, q, q_check, options, warm_u, warm_v, session);
+          }));
   result.anneal_stages = std::move(anneal.stages);
   return result;
 }

@@ -17,10 +17,6 @@ namespace otclean::core {
 class SolveCache;
 }  // namespace otclean::core
 
-namespace otclean::linalg {
-struct SparseKernelStorageF32;
-}  // namespace otclean::linalg
-
 namespace otclean::ot {
 
 /// Parameters for entropic / relaxed optimal transport.
@@ -302,18 +298,13 @@ Status ValidateFiniteCosts(const char* where,
 
 /// Verifies a truncated kernel can carry the marginals: every row i with
 /// p[i] > 0 (and, when `q` is non-null, every column j with q[j] > 0) must
-/// hold at least one stored entry. Returns InvalidArgument naming the
-/// first offending row/column — the fix is a smaller truncation cutoff.
-Status CheckTruncatedKernelSupport(const linalg::SparseMatrix& kernel,
-                                   const linalg::Vector* p,
-                                   const linalg::Vector* q,
-                                   const char* where);
-
-/// Same check over an f32 sparse kernel storage. The f32 kept-set is
-/// decided in double, so this always agrees with the f64 check for the
-/// same (cost, ε, cutoff); column emptiness reads the CSC mirror's
-/// col_ptr directly instead of scanning col_index.
-Status CheckTruncatedKernelSupport(const linalg::SparseKernelStorageF32& kernel,
+/// hold at least one stored entry. The kernel is given by its structure —
+/// `row_ptr` of its CSR matrix and `col_ptr` of its CSC mirror, which every
+/// sparse kernel storage carries (linear or log, f64 or f32: they share one
+/// kept-set, decided in double). Returns InvalidArgument naming the first
+/// offending row/column — the fix is a smaller truncation cutoff.
+Status CheckTruncatedKernelSupport(const std::vector<size_t>& row_ptr,
+                                   const std::vector<size_t>& col_ptr,
                                    const linalg::Vector* p,
                                    const linalg::Vector* q,
                                    const char* where);

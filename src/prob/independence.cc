@@ -52,8 +52,18 @@ double ConditionalMutualInformation(const JointDistribution& p,
     const double pyz = p_yz[dom.ProjectIndex(cell, yz_pos)] / mass;
     const double pz =
         ci.z.empty() ? 1.0 : p_z[dom.ProjectIndex(cell, z_pos)] / mass;
-    // pxz, pyz > 0 whenever pxyz > 0 (they dominate it).
-    cmi += pxyz * std::log((pxyz * pz) / (pxz * pyz));
+    // pxz, pyz > 0 whenever pxyz > 0 (they dominate it). While both
+    // products are normal doubles the log of their quotient is exact near
+    // independence (ratio ≈ 1). On tiny cells they are not: pxz·pyz
+    // underflows to 0 for two 1e-170 marginals, turning a negligible term
+    // into inf. There the log is the difference of the logs of pxyz/pxz
+    // and pyz/pz — factors in (0, 1], each at least its own positive
+    // numerator, so neither underflows to 0 nor overflows.
+    const double num = pxyz * pz;
+    const double den = pxz * pyz;
+    cmi += pxyz * (std::isnormal(num) && std::isnormal(den)
+                       ? std::log(num / den)
+                       : std::log(pxyz / pxz) - std::log(pyz / pz));
   }
   // Numerical noise can push an exactly-independent case slightly negative.
   return cmi > 0.0 ? cmi : 0.0;

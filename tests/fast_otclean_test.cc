@@ -3,6 +3,8 @@
 #include <cmath>
 
 #include "core/fast_otclean.h"
+#include "core/solve_cache.h"
+#include "linalg/thread_pool.h"
 #include "ot/cost.h"
 #include "prob/independence.h"
 
@@ -241,6 +243,80 @@ TEST(FastOtCleanTest, SharperEpsilonLowersTransportCost) {
   const auto a = FastOtClean(p, ci, cost, sharp, r1).value();
   const auto b = FastOtClean(p, ci, cost, smooth, r2).value();
   EXPECT_LT(a.transport_cost, b.transport_cost + 1e-9);
+}
+
+/// Bit-for-bit equality of two repairs: cost, iteration counts, target
+/// and every plan entry.
+void ExpectBitIdentical(const FastOtCleanResult& a,
+                        const FastOtCleanResult& b) {
+  EXPECT_EQ(a.transport_cost, b.transport_cost);
+  EXPECT_EQ(a.total_sinkhorn_iterations, b.total_sinkhorn_iterations);
+  EXPECT_EQ(a.outer_iterations, b.outer_iterations);
+  ASSERT_EQ(a.target.size(), b.target.size());
+  for (size_t i = 0; i < a.target.size(); ++i) {
+    EXPECT_EQ(a.target[i], b.target[i]) << "target cell " << i;
+  }
+  const linalg::Matrix pa = a.plan.Densify();
+  const linalg::Matrix pb = b.plan.Densify();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_EQ(pa.data()[i], pb.data()[i]) << "plan entry " << i;
+  }
+}
+
+TEST(FastOtCleanTest, F32OuterLoopIsDeterministicAndTracksF64) {
+  // The f32 storage tier through the whole outer loop, on every kernel
+  // shape (dense/CSR × linear/log): threads, pools and cache hit/miss
+  // must not move a bit, and the repair must agree with the f64 tier to
+  // within the kernel's float rounding.
+  const Domain d = Domain::FromCardinalities({3, 4, 5});
+  JointDistribution p(d);
+  Rng gen(21);
+  for (size_t i = 0; i < p.size(); ++i) p[i] = 0.05 + gen.NextDouble();
+  p.Normalize();
+  const CiSpec ci{{0}, {1}, {2}};
+  ot::EuclideanCost cost(3);
+  linalg::ThreadPool pool(4);
+
+  for (const double truncation : {0.0, 1e-3}) {
+    for (const bool log_domain : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "truncation=" << truncation
+                                        << " log_domain=" << log_domain);
+      FastOtCleanOptions f32 = DefaultOptions();
+      f32.epsilon = 0.5;
+      f32.max_outer_iterations = 20;
+      f32.kernel_truncation = truncation;
+      f32.log_domain = log_domain;
+      f32.precision = linalg::Precision::kFloat32;
+      f32.num_threads = 1;
+      Rng r_serial(31);
+      const auto serial = FastOtClean(p, ci, cost, f32, r_serial).value();
+
+      FastOtCleanOptions pooled = f32;
+      pooled.num_threads = 4;
+      pooled.thread_pool = &pool;
+      Rng r_pooled(31);
+      ExpectBitIdentical(serial,
+                         FastOtClean(p, ci, cost, pooled, r_pooled).value());
+
+      SolveCache cache;
+      FastOtCleanOptions cached = f32;
+      cached.solve_cache = &cache;
+      Rng r_miss(31), r_hit(31);
+      const auto miss = FastOtClean(p, ci, cost, cached, r_miss).value();
+      const auto hit = FastOtClean(p, ci, cost, cached, r_hit).value();
+      EXPECT_EQ(miss.cache_kernel_misses, 1u);
+      EXPECT_EQ(hit.cache_kernel_hits, 1u);
+      ExpectBitIdentical(miss, hit);
+      ExpectBitIdentical(serial, miss);
+
+      FastOtCleanOptions f64 = f32;
+      f64.precision = linalg::Precision::kFloat64;
+      Rng r_f64(31);
+      const auto ref = FastOtClean(p, ci, cost, f64, r_f64).value();
+      EXPECT_NEAR(serial.transport_cost, ref.transport_cost, 1e-6);
+    }
+  }
 }
 
 }  // namespace

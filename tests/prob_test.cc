@@ -272,6 +272,22 @@ TEST(IndependenceTest, CmiMatchesExample32) {
   EXPECT_GT(ConditionalMutualInformation(p, ci), 1e-3);
 }
 
+TEST(IndependenceTest, CmiStaysFiniteOnTinyCells) {
+  // A 1e-170 cell whose X-Z and Y-Z marginals are both 1e-170: their
+  // product underflows to 0, which must not turn its negligible
+  // contribution (about 4e-168 nats) into +inf.
+  const Domain d = Domain::FromCardinalities({2, 2, 2});
+  JointDistribution p(d);
+  for (int x = 0; x < 2; ++x) {
+    for (int y = 0; y < 2; ++y) p[d.Encode({x, y, 0})] = 0.25;
+  }
+  p[d.Encode({0, 0, 1})] = 0.25;
+  p[d.Encode({1, 1, 1})] = 1e-170;
+  const double cmi = ConditionalMutualInformation(p, CiSpec{{0}, {1}, {2}});
+  EXPECT_TRUE(std::isfinite(cmi));
+  EXPECT_LT(cmi, 1e-12);
+}
+
 TEST(IndependenceTest, CiProjectionSatisfiesConstraint) {
   const Domain d = Domain::FromCardinalities({2, 2, 2});
   JointDistribution p(d);

@@ -11,7 +11,6 @@
 #include "common/random.h"
 #include "linalg/thread_pool.h"
 #include "linalg/transport_kernel.h"
-#include "linalg/transport_kernel_f32.h"
 #include "ot/sinkhorn.h"
 
 namespace otclean::linalg::simd {
