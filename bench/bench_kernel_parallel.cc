@@ -12,7 +12,7 @@
 
 #include "bench_common.h"
 #include "common/timer.h"
-#include "linalg/parallel_for.h"
+#include "linalg/thread_pool.h"
 
 using namespace otclean;
 

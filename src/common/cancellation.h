@@ -5,9 +5,6 @@
 #include <chrono>
 #include <limits>
 #include <optional>
-#include <string>
-
-#include "common/status.h"
 
 namespace otclean {
 
@@ -47,7 +44,7 @@ class CancellationToken {
 };
 
 /// A monotonic-clock wall deadline. Default-constructed deadlines are
-/// infinite (never expire), so options structs can carry one by value with
+/// infinite (never expire), so an ExecContext can carry one by value with
 /// zero cost on the common path. Composable via `Earliest` — the scheduler
 /// combines a per-job deadline with its scheduler-wide default that way.
 class Deadline {
@@ -96,22 +93,6 @@ class Deadline {
   using Clock = std::chrono::steady_clock;
   std::optional<Clock::time_point> when_;
 };
-
-/// The one stop-check every cooperative layer shares: cancellation wins
-/// over deadline expiry, and the returned message names the checking layer
-/// so an aborted batch job reads "RunSinkhornScaling: cancelled", not just
-/// "cancelled". Costs one relaxed-ish atomic load (plus a clock read only
-/// when a finite deadline is set) on the non-aborting path.
-inline Status CheckStop(const CancellationToken* token, const Deadline& deadline,
-                        const char* where) {
-  if (token != nullptr && token->cancelled()) {
-    return Status::Cancelled(std::string(where) + ": cancelled by caller");
-  }
-  if (deadline.expired()) {
-    return Status::DeadlineExceeded(std::string(where) + ": deadline exceeded");
-  }
-  return Status::OK();
-}
 
 }  // namespace otclean
 

@@ -65,7 +65,7 @@ class OuterLoopKernel {
   virtual Result<ot::SinkhornScaling> Solve(
       const linalg::Vector& p, const linalg::Vector& q_cols,
       const ot::SinkhornOptions& sink, const linalg::Vector* warm_u,
-      const linalg::Vector* warm_v) const = 0;
+      const linalg::Vector* warm_v, const ExecContext& ctx) const = 0;
 
   /// Column marginal of the plan at the current potentials, without
   /// materializing it: (Kᵀu) ∘ v linearly, e^{logsumexp + lv} in log mode
@@ -158,11 +158,12 @@ class KernelOuterLoop final : public OuterLoopKernel {
   Result<ot::SinkhornScaling> Solve(
       const linalg::Vector& p, const linalg::Vector& q_cols,
       const ot::SinkhornOptions& sink, const linalg::Vector* warm_u,
-      const linalg::Vector* warm_v) const override {
+      const linalg::Vector* warm_v, const ExecContext& ctx) const override {
     if constexpr (kLog) {
-      OTCLEAN_ASSIGN_OR_RETURN(
-          ot::SinkhornLogScaling s,
-          ot::RunSinkhornLogScaling(kernel(), p, q_cols, sink, warm_u, warm_v));
+      OTCLEAN_ASSIGN_OR_RETURN(ot::SinkhornLogScaling s,
+                               ot::RunSinkhornLogScaling(kernel(), p, q_cols,
+                                                         sink, warm_u, warm_v,
+                                                         ctx));
       ot::SinkhornScaling out;
       out.u = std::move(s.lu);
       out.v = std::move(s.lv);
@@ -170,7 +171,8 @@ class KernelOuterLoop final : public OuterLoopKernel {
       out.converged = s.converged;
       return out;
     } else {
-      return ot::RunSinkhornScaling(kernel(), p, q_cols, sink, warm_u, warm_v);
+      return ot::RunSinkhornScaling(kernel(), p, q_cols, sink, warm_u, warm_v,
+                                    ctx);
     }
   }
 
@@ -401,8 +403,8 @@ Status MaybeAnnealFirstSolve(const linalg::CostProvider& cost_view,
                              const FastOtCleanOptions& options,
                              const ot::SinkhornOptions& sink,
                              uint64_t fast_fingerprint, bool log_domain,
-                             linalg::ThreadPool* pool, linalg::Vector& warm_u,
-                             linalg::Vector& warm_v,
+                             linalg::ThreadPool* pool, const ExecContext& ctx,
+                             linalg::Vector& warm_u, linalg::Vector& warm_v,
                              FastOtCleanResult& result) {
   if (!options.epsilon_schedule.enabled() || !options.warm_start ||
       result.cache_warm_started) {
@@ -418,7 +420,7 @@ Status MaybeAnnealFirstSolve(const linalg::CostProvider& cost_view,
       ot::EpsilonAnnealWarmStart aw,
       ot::RunSinkhornAnnealed(cost_view, p, q_cols, anneal,
                               /*sparse=*/options.kernel_truncation > 0.0,
-                              options.kernel_truncation, pool));
+                              options.kernel_truncation, pool, ctx));
   warm_u = std::move(aw.u);
   warm_v = std::move(aw.v);
   if (log_domain) {
@@ -559,7 +561,7 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
                                          const ot::CostFunction& cost,
                                          const FastOtCleanOptions& options,
                                          const CiProjector& project,
-                                         Rng& rng) {
+                                         Rng& rng, const ExecContext& ctx) {
   const auto invalid = [&](const char* what) {
     return Status::InvalidArgument(std::string(where) + ": " + what);
   };
@@ -602,16 +604,14 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
   // contract. One extra streaming pass per repair; the iterations
   // dominate.
   OTCLEAN_RETURN_NOT_OK(ot::ValidateFiniteCosts(where, cost_view));
-  OTCLEAN_RETURN_NOT_OK(
-      CheckStop(options.cancel_token, options.deadline, where));
+  OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, where));
 
   // kKernelNan fires here — past validation, so the NaN reaches the kernel
   // build exactly like a runtime numeric blow-up would. A poisoned solve
   // bypasses the cache entirely (fast_fp stays 0 below): a poisoned kernel
   // must never be published under the clean cost's key.
   const bool poison_kernel =
-      options.fault_injector != nullptr &&
-      options.fault_injector->ShouldFire(FaultSite::kKernelNan);
+      ctx.faults != nullptr && ctx.faults->ShouldFire(FaultSite::kKernelNan);
   const NanPoisonedCostView poisoned_view(cost_view);
   const linalg::CostProvider& build_view =
       poison_kernel ? static_cast<const linalg::CostProvider&>(poisoned_view)
@@ -636,8 +636,6 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
   sink.log_domain = options.log_domain;
   sink.num_threads = options.num_threads;
   sink.precision = options.precision;
-  sink.cancel_token = options.cancel_token;
-  sink.deadline = options.deadline;
 
   // One worker pool for the whole repair: every Sinkhorn iteration of
   // every outer step dispatches on it instead of spawning threads anew.
@@ -651,7 +649,7 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
           : 0;
   const SolveCacheKey cache_key =
       MakeFastCacheKey(fast_fp, row_cells, col_cells, options);
-  MaybeInjectAllocFailure(options.fault_injector);
+  MaybeInjectAllocFailure(ctx.faults);
   const std::unique_ptr<const OuterLoopKernel> kernel = MakeOuterLoopKernel(
       build_view, options, pool, options.solve_cache, cache_key);
   OTCLEAN_RETURN_NOT_OK(kernel->CheckSupport(p, where));
@@ -669,11 +667,10 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
       kernel->log_domain(), warm_u, warm_v, warm_cold_baseline);
   OTCLEAN_RETURN_NOT_OK(MaybeAnnealFirstSolve(
       build_view, p, q, col_cells, options, sink, fast_fp,
-      kernel->log_domain(), pool, warm_u, warm_v, result));
+      kernel->log_domain(), pool, ctx, warm_u, warm_v, result));
 
   for (size_t outer = 0; outer < options.max_outer_iterations; ++outer) {
-    OTCLEAN_RETURN_NOT_OK(
-        CheckStop(options.cancel_token, options.deadline, where));
+    OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, where));
     // --- Outer step A: transport plan against the current Q (Sinkhorn). ---
     linalg::Vector q_cols(col_cells.size());
     for (size_t j = 0; j < col_cells.size(); ++j) q_cols[j] = q[col_cells[j]];
@@ -684,7 +681,7 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
         (options.warm_start && warm_v.size() == q_cols.size()) ? &warm_v
                                                                : nullptr;
     OTCLEAN_ASSIGN_OR_RETURN(ot::SinkhornScaling sr,
-                             kernel->Solve(p, q_cols, sink, wu, wv));
+                             kernel->Solve(p, q_cols, sink, wu, wv, ctx));
     warm_u = std::move(sr.u);
     warm_v = std::move(sr.v);
     result.total_sinkhorn_iterations += sr.iterations;
@@ -737,30 +734,30 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
                                       const prob::CiSpec& ci,
                                       const ot::CostFunction& cost,
                                       const FastOtCleanOptions& options,
-                                      Rng& rng) {
+                                      Rng& rng, const ExecContext& ctx) {
   if (!options.iterative_nmf) {
     // The closed-form single-constraint projection is the one-spec case of
     // the cyclic multi-constraint projection.
-    return FastOtCleanMulti(p_data, {ci}, cost, options, rng);
+    return FastOtCleanMulti(p_data, {ci}, cost, options, rng, ctx);
   }
   return RunFastOtClean(
       "FastOtClean", p_data, {ci}, cost, options,
       [&](const prob::JointDistribution& t) {
         return IterativeNmfProjection(t, ci, options.nmf_max_iterations, rng);
       },
-      rng);
+      rng, ctx);
 }
 
 Result<FastOtCleanResult> FastOtCleanMulti(
     const prob::JointDistribution& p_data,
     const std::vector<prob::CiSpec>& cis, const ot::CostFunction& cost,
-    const FastOtCleanOptions& options, Rng& rng) {
+    const FastOtCleanOptions& options, Rng& rng, const ExecContext& ctx) {
   return RunFastOtClean(
       "FastOtCleanMulti", p_data, cis, cost, options,
       [&](const prob::JointDistribution& t) {
         return prob::MultiCiProjection(t, cis);
       },
-      rng);
+      rng, ctx);
 }
 
 }  // namespace otclean::core

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/exec_context.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "ot/cost.h"
@@ -13,7 +14,6 @@
 
 namespace otclean::core {
 
-class FaultInjector;
 class SolveCache;
 
 /// Options for FastOTClean (Algorithm 2) — the relaxed-OT + Sinkhorn +
@@ -113,20 +113,6 @@ struct FastOtCleanOptions {
   /// the truncated kept-set is decided in double so support checks and
   /// plan structure match the f64 tier exactly.
   linalg::Precision precision = linalg::Precision::kFloat64;
-  /// Optional cooperative cancellation (common/cancellation.h; borrowed,
-  /// must outlive the call). Checked at each outer step and forwarded into
-  /// every inner Sinkhorn solve (per-iteration checks there), so a fired
-  /// token aborts the repair with kCancelled within one engine iteration.
-  /// Scheduled jobs must leave it null — the RepairScheduler owns one
-  /// token per job and injects it here, exactly like `thread_pool`.
-  const CancellationToken* cancel_token = nullptr;
-  /// Optional monotonic wall deadline, polled at the same granularity;
-  /// expiry aborts with kDeadlineExceeded. Infinite by default.
-  Deadline deadline;
-  /// Optional fault-injection harness (core/fault_injector.h; borrowed).
-  /// Consulted only at its named sites — null (the default) costs nothing
-  /// and is the production configuration.
-  FaultInjector* fault_injector = nullptr;
 };
 
 /// Outcome of a FastOTClean run.
@@ -174,11 +160,16 @@ struct FastOtCleanResult {
 /// `p_data` must be a normalized distribution (typically the empirical
 /// distribution of the dataset, restricted to the constraint attributes
 /// under the saturation optimization).
+///
+/// `ctx` is checked at each outer step and forwarded into every inner
+/// Sinkhorn solve (per-iteration checks there), so a fired token aborts
+/// the repair with kCancelled within one engine iteration. Its fault
+/// injector is consulted at the kKernelNan and kAlloc sites.
 Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
                                       const prob::CiSpec& ci,
                                       const ot::CostFunction& cost,
                                       const FastOtCleanOptions& options,
-                                      Rng& rng);
+                                      Rng& rng, const ExecContext& ctx = {});
 
 /// Multi-constraint FastOTClean (the paper's stated extension): enforces
 /// *all* the given CI specs simultaneously by replacing the inner rank-one
@@ -189,7 +180,7 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
 Result<FastOtCleanResult> FastOtCleanMulti(
     const prob::JointDistribution& p_data,
     const std::vector<prob::CiSpec>& cis, const ot::CostFunction& cost,
-    const FastOtCleanOptions& options, Rng& rng);
+    const FastOtCleanOptions& options, Rng& rng, const ExecContext& ctx = {});
 
 }  // namespace otclean::core
 

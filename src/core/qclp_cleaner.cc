@@ -163,7 +163,8 @@ class QclpColumnOracle final : public lp::ColumnOracle {
 Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
                                   const std::vector<prob::CiSpec>& cis,
                                   const ot::CostFunction& cost,
-                                  const QclpOptions& options) {
+                                  const QclpOptions& options,
+                                  const ExecContext& ctx) {
   const prob::Domain& dom = p_data.domain();
   if (options.log_domain) {
     return Status::InvalidArgument(
@@ -248,9 +249,7 @@ Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
   linalg::Matrix plan(m, n, 0.0);
 
   for (size_t outer = 0; outer < options.max_outer_iterations; ++outer) {
-    Status stop = CheckStop(options.cancel_token, options.deadline,
-                            "QclpClean: outer alternation");
-    if (!stop.ok()) return stop;
+    OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, "QclpClean: outer alternation"));
 
     // Linearize each constraint around the previous estimate: pin_y pins
     // Q(y|z) and constrains the (x,·,z) slices; else the mirror image.
@@ -293,10 +292,9 @@ Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
 
     lp::RevisedSimplexOptions lp_opts;
     lp_opts.max_iterations = options.lp_max_iterations;
-    lp_opts.cancel_token = options.cancel_token;
-    lp_opts.deadline = options.deadline;
-    OTCLEAN_ASSIGN_OR_RETURN(lp::RevisedSimplexResult sol,
-                             lp::SolveRevisedSimplex(oracle, b_rhs, lp_opts));
+    OTCLEAN_ASSIGN_OR_RETURN(
+        lp::RevisedSimplexResult sol,
+        lp::SolveRevisedSimplex(oracle, b_rhs, lp_opts, ctx));
     result.total_lp_pivots += sol.iterations;
     result.objective_trace.push_back(sol.objective);
     result.peak_tableau_bytes =
@@ -348,13 +346,14 @@ Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
 Result<QclpResult> QclpClean(const prob::JointDistribution& p_data,
                              const prob::CiSpec& ci,
                              const ot::CostFunction& cost,
-                             const QclpOptions& options) {
+                             const QclpOptions& options,
+                             const ExecContext& ctx) {
   const prob::Domain& dom = p_data.domain();
   if (ci.x.size() + ci.y.size() + ci.z.size() != dom.num_attrs()) {
     return Status::InvalidArgument(
         "QclpClean: requires a saturated constraint over the input domain");
   }
-  return QclpCleanMulti(p_data, {ci}, cost, options);
+  return QclpCleanMulti(p_data, {ci}, cost, options, ctx);
 }
 
 }  // namespace otclean::core

@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "common/cancellation.h"
+#include "common/exec_context.h"
 #include "common/result.h"
 #include "ot/cost.h"
 #include "ot/plan.h"
@@ -40,10 +40,6 @@ struct QclpOptions {
   /// the resolved `num_threads` exceeds 1, QclpClean creates one pool per
   /// solve and reuses it across all outer iterations.
   linalg::ThreadPool* thread_pool = nullptr;
-  /// Cooperative stop signals, polled at every outer alternation and at
-  /// every LP pivot inside it.
-  const CancellationToken* cancel_token = nullptr;
-  Deadline deadline = Deadline::Infinite();
 };
 
 struct QclpResult {
@@ -78,10 +74,14 @@ struct QclpResult {
 /// every attribute of `p_data`'s domain (use the saturation wrapper in
 /// repair.h for unsaturated constraints, or QclpCleanMulti which accepts
 /// general specs).
+///
+/// `ctx`'s token and deadline are polled at every outer alternation and at
+/// every LP pivot inside it.
 Result<QclpResult> QclpClean(const prob::JointDistribution& p_data,
                              const prob::CiSpec& ci,
                              const ot::CostFunction& cost,
-                             const QclpOptions& options);
+                             const QclpOptions& options,
+                             const ExecContext& ctx = {});
 
 /// Multi-constraint QCLP: simultaneously enforces every CI spec in `cis`
 /// by linearizing each constraint's independence surface per alternation
@@ -92,7 +92,8 @@ Result<QclpResult> QclpClean(const prob::JointDistribution& p_data,
 Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
                                   const std::vector<prob::CiSpec>& cis,
                                   const ot::CostFunction& cost,
-                                  const QclpOptions& options);
+                                  const QclpOptions& options,
+                                  const ExecContext& ctx = {});
 
 }  // namespace otclean::core
 

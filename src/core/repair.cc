@@ -201,8 +201,10 @@ Result<RepairReport> GuardedAttempt(
 /// as "retried-ok"; if every fallback still fails, the best
 /// ok-but-unconverged result seen (if any) is returned rather than the
 /// final error — degradation never makes the outcome worse than attempt 1.
+/// An unconverged result, whichever branch returns it, terminates as
+/// "iteration-cap" — never "ok".
 Result<RepairReport> RunWithRetries(
-    const RepairOptions& options,
+    const RepairOptions& options, const ExecContext& ctx,
     const std::function<Result<RepairReport>(const RepairOptions&)>&
         attempt_fn) {
   if (options.retry.max_attempts == 0) {
@@ -236,10 +238,12 @@ Result<RepairReport> RunWithRetries(
       if (r.ok()) {
         RepairReport report = std::move(r).value();
         report.retry_attempts = attempt;
+        report.termination = "iteration-cap";
         report.recovery = recovery;
         return report;
       }
       if (best.has_value()) {
+        best->termination = "iteration-cap";
         best->recovery = recovery + "; fallback failed (" +
                          r.status().ToString() +
                          "), keeping earlier unconverged result";
@@ -255,8 +259,7 @@ Result<RepairReport> RunWithRetries(
                   recovery);
     // Backoff must never outlive a stop: re-check before sleeping and
     // before the next attempt.
-    OTCLEAN_RETURN_NOT_OK(CheckStop(options.fast.cancel_token,
-                                    options.fast.deadline, "repair retry"));
+    OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, "repair retry"));
     if (options.retry.backoff_seconds > 0.0) {
       std::this_thread::sleep_for(
           std::chrono::duration<double>(options.retry.backoff_seconds));
@@ -267,7 +270,8 @@ Result<RepairReport> RunWithRetries(
 }  // namespace
 
 Status OtCleanRepairer::Fit(const dataset::Table& table,
-                            const ot::CostFunction* cost) {
+                            const ot::CostFunction* cost,
+                            const ExecContext& ctx) {
   const dataset::Schema& schema = table.schema();
   OTCLEAN_ASSIGN_OR_RETURN(std::vector<size_t> u_cols,
                            constraint_.ResolveColumns(schema));
@@ -308,13 +312,14 @@ Status OtCleanRepairer::Fit(const dataset::Table& table,
   Rng rng(options_.seed);
   if (options_.solver == Solver::kFastOtClean) {
     OTCLEAN_ASSIGN_OR_RETURN(FastOtCleanResult r,
-                             FastOtClean(p, spec, *cost, options_.fast, rng));
+                             FastOtClean(p, spec, *cost, options_.fast, rng,
+                                         ctx));
     PopulateFastSolveReport(r, options_.fast, fit_report_);
     plan_ = std::move(r.plan);
     target_ = std::move(r.target);
   } else if (options_.solver == Solver::kQclp) {
     OTCLEAN_ASSIGN_OR_RETURN(QclpResult r,
-                             QclpClean(p, spec, *cost, options_.qclp));
+                             QclpClean(p, spec, *cost, options_.qclp, ctx));
     PopulateQclpSolveReport(r, fit_report_);
     plan_ = std::move(r.plan);
     target_ = std::move(r.target);
@@ -330,9 +335,8 @@ Status OtCleanRepairer::Fit(const dataset::Table& table,
           "cleaning) is not supported by the Capuchin solvers — they repair "
           "over the constraint attributes only");
     }
-    OTCLEAN_RETURN_NOT_OK(CheckStop(options_.fairness.cancel_token,
-                                    options_.fairness.deadline,
-                                    "OtCleanRepairer::Fit: Capuchin target"));
+    OTCLEAN_RETURN_NOT_OK(
+        CheckStop(ctx, "OtCleanRepairer::Fit: Capuchin target"));
     const auto method = options_.solver == Solver::kCapuchinIC
                             ? fairness::CapuchinMethod::kIndependentCoupling
                             : fairness::CapuchinMethod::kMatrixFactorization;
@@ -340,9 +344,8 @@ Status OtCleanRepairer::Fit(const dataset::Table& table,
         prob::JointDistribution q,
         fairness::CapuchinTarget(p, spec, method,
                                  options_.fairness.nmf_max_iterations, rng));
-    OTCLEAN_RETURN_NOT_OK(CheckStop(options_.fairness.cancel_token,
-                                    options_.fairness.deadline,
-                                    "OtCleanRepairer::Fit: Capuchin plan"));
+    OTCLEAN_RETURN_NOT_OK(
+        CheckStop(ctx, "OtCleanRepairer::Fit: Capuchin plan"));
     CapuchinPlanResult built = BuildCapuchinPlan(p, q, spec, *cost);
     fit_report_.target_cmi = prob::ConditionalMutualInformation(q, spec);
     fit_report_.transport_cost = built.transport_cost;
@@ -399,15 +402,14 @@ namespace {
 Result<RepairReport> RepairTableOnce(const dataset::Table& table,
                                      const CiConstraint& constraint,
                                      const RepairOptions& options,
-                                     const ot::CostFunction* cost) {
+                                     const ot::CostFunction* cost,
+                                     const ExecContext& ctx) {
   if (options.solver == Solver::kCapMaxSat) {
     // Cap(MS) is a tuple add/remove repair with no plan to fit; it
     // dispatches straight to the MaxSAT repairer and reports through the
     // same RepairReport. RepairOptions::seed seeds both the WalkSAT search
     // and the insertion sampling, so one knob seeds every solver.
-    OTCLEAN_RETURN_NOT_OK(CheckStop(options.fairness.cancel_token,
-                                    options.fairness.deadline,
-                                    "RepairTable: Cap(MS)"));
+    OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, "RepairTable: Cap(MS)"));
     fairness::CapMaxSatOptions cms;
     cms.maxsat = options.fairness.maxsat;
     cms.maxsat.seed = options.seed;
@@ -430,7 +432,7 @@ Result<RepairReport> RepairTableOnce(const dataset::Table& table,
     return report;
   }
   OtCleanRepairer repairer(constraint, options);
-  OTCLEAN_RETURN_NOT_OK(repairer.Fit(table, cost));
+  OTCLEAN_RETURN_NOT_OK(repairer.Fit(table, cost, ctx));
   Rng rng(options.seed ^ 0xabcdef12345ull);
   OTCLEAN_ASSIGN_OR_RETURN(dataset::Table repaired,
                            repairer.Apply(table, rng));
@@ -445,9 +447,10 @@ Result<RepairReport> RepairTableOnce(const dataset::Table& table,
 Result<RepairReport> RepairTable(const dataset::Table& table,
                                  const CiConstraint& constraint,
                                  const RepairOptions& options,
-                                 const ot::CostFunction* cost) {
-  return RunWithRetries(options, [&](const RepairOptions& opts) {
-    return RepairTableOnce(table, constraint, opts, cost);
+                                 const ot::CostFunction* cost,
+                                 const ExecContext& ctx) {
+  return RunWithRetries(options, ctx, [&](const RepairOptions& opts) {
+    return RepairTableOnce(table, constraint, opts, cost, ctx);
   });
 }
 
@@ -466,7 +469,8 @@ namespace {
 /// RepairTableMulti body, verbatim).
 Result<RepairReport> RepairTableMultiOnce(
     const dataset::Table& table, const std::vector<CiConstraint>& constraints,
-    const RepairOptions& options, const ot::CostFunction* cost) {
+    const RepairOptions& options, const ot::CostFunction* cost,
+    const ExecContext& ctx) {
   if (constraints.empty()) {
     return Status::InvalidArgument("RepairTableMulti: no constraints");
   }
@@ -543,7 +547,7 @@ Result<RepairReport> RepairTableMultiOnce(
     Rng rng(options.seed);
     OTCLEAN_ASSIGN_OR_RETURN(
         FastOtCleanResult r,
-        FastOtCleanMulti(p, specs, *cost, options.fast, rng));
+        FastOtCleanMulti(p, specs, *cost, options.fast, rng, ctx));
     PopulateFastSolveReport(r, options.fast, report);
     plan = std::move(r.plan);
   } else {
@@ -551,7 +555,8 @@ Result<RepairReport> RepairTableMultiOnce(
     // linearization block per constraint, column marginal projected onto
     // the intersection with cyclic I-projections.
     OTCLEAN_ASSIGN_OR_RETURN(QclpResult r,
-                             QclpCleanMulti(p, specs, *cost, options.qclp));
+                             QclpCleanMulti(p, specs, *cost, options.qclp,
+                                            ctx));
     PopulateQclpSolveReport(r, report);
     plan = std::move(r.plan);
   }
@@ -595,9 +600,10 @@ Result<RepairReport> RepairTableMultiOnce(
 
 Result<RepairReport> RepairTableMulti(
     const dataset::Table& table, const std::vector<CiConstraint>& constraints,
-    const RepairOptions& options, const ot::CostFunction* cost) {
-  return RunWithRetries(options, [&](const RepairOptions& opts) {
-    return RepairTableMultiOnce(table, constraints, opts, cost);
+    const RepairOptions& options, const ot::CostFunction* cost,
+    const ExecContext& ctx) {
+  return RunWithRetries(options, ctx, [&](const RepairOptions& opts) {
+    return RepairTableMultiOnce(table, constraints, opts, cost, ctx);
   });
 }
 

@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "common/exec_context.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "core/ci_constraint.h"
@@ -27,19 +28,16 @@ enum class Solver {
 };
 
 /// Knobs for the fairness-baseline solvers (kCapuchinIC / kCapuchinMF /
-/// kCapMaxSat). Kept separate from FastOtCleanOptions/QclpOptions so each
-/// solver family owns its cooperative-stop wiring, mirroring how the
-/// scheduler threads per-job deadlines into whichever solver a job picked.
+/// kCapMaxSat). Plain algorithmic values, like FastOtCleanOptions and
+/// QclpOptions: the request's stop state arrives separately in the
+/// ExecContext, checked at these solvers' coarse-grained boundaries
+/// (target build, repair materialization).
 struct FairnessOptions {
   /// NMF iteration budget (kCapuchinMF only).
   size_t nmf_max_iterations = 500;
   /// WalkSAT budget/noise (kCapMaxSat only). The MaxSAT seed is overridden
   /// by RepairOptions::seed so one knob seeds every solver.
   fairness::MaxSatOptions maxsat;
-  /// Cooperative stop signals, checked at the fairness solvers'
-  /// coarse-grained boundaries (target build, repair materialization).
-  const CancellationToken* cancel_token = nullptr;
-  Deadline deadline = Deadline::Infinite();
 };
 
 /// Opt-in graceful degradation for the FastOTClean solver: when an attempt
@@ -58,8 +56,8 @@ struct RetryOptions {
   /// Total solve attempts (first try included). 1 — the default — means no
   /// retry; 0 is InvalidArgument (validated loudly, never a silent no-op).
   size_t max_attempts = 1;
-  /// Sleep between attempts, in seconds (the cancel token / deadline are
-  /// re-checked before each retry, so backoff never outlives a stop).
+  /// Sleep between attempts, in seconds (the context's token and deadline
+  /// are re-checked before each retry, so backoff never outlives a stop).
   double backoff_seconds = 0.0;
 };
 
@@ -125,9 +123,11 @@ struct RepairReport {
   /// FastOtCleanOptions::epsilon_schedule ran). Stage iterations are not
   /// counted in `total_sinkhorn_iterations`.
   std::vector<ot::EpsilonAnnealStage> anneal_stages;
-  /// How the repair terminated: "ok" (first attempt), or "retried-ok" when
-  /// RetryOptions fallbacks recovered a converged solve after at least one
-  /// retryable failure. Failed repairs never produce a report — their
+  /// How the repair terminated: "ok" (converged on the first attempt),
+  /// "retried-ok" when RetryOptions fallbacks recovered a converged solve
+  /// after at least one retryable failure, or "iteration-cap" when the
+  /// returned solve stopped at its outer-iteration cap without converging
+  /// (`converged` is false). Failed repairs never produce a report — their
   /// reason lives in the returned Status code (kCancelled,
   /// kDeadlineExceeded, kResourceExhausted, ...).
   const char* termination = "ok";
@@ -150,7 +150,11 @@ class OtCleanRepairer {
   /// Learns the plan from `table`. `cost` (over the cleaned sub-domain; see
   /// CleanedDomain()) may be null, in which case the paper's C1 cost
   /// (stddev-normalized Euclidean) is built from the empirical distribution.
-  Status Fit(const dataset::Table& table, const ot::CostFunction* cost = nullptr);
+  /// `ctx` carries the request's stop state and fault injector into
+  /// whichever solver `options.solver` picks.
+  Status Fit(const dataset::Table& table,
+             const ot::CostFunction* cost = nullptr,
+             const ExecContext& ctx = {});
 
   /// True once Fit has succeeded.
   bool fitted() const { return fitted_; }
@@ -185,11 +189,13 @@ class OtCleanRepairer {
   RepairReport fit_report_;  ///< `repaired` left empty; filled by Repair().
 };
 
-/// One-shot convenience: fit on `table` and repair it.
+/// One-shot convenience: fit on `table` and repair it. `ctx` stops every
+/// solver family alike and is re-checked between retry attempts.
 Result<RepairReport> RepairTable(const dataset::Table& table,
                                  const CiConstraint& constraint,
                                  const RepairOptions& options = {},
-                                 const ot::CostFunction* cost = nullptr);
+                                 const ot::CostFunction* cost = nullptr,
+                                 const ExecContext& ctx = {});
 
 /// CMI of `table`'s empirical distribution w.r.t. `constraint` — the
 /// "degree of inconsistency" δ_σ reported in Table 2.
@@ -211,7 +217,8 @@ Result<double> TableCmi(const dataset::Table& table,
 /// naive full-joint mode).
 Result<RepairReport> RepairTableMulti(
     const dataset::Table& table, const std::vector<CiConstraint>& constraints,
-    const RepairOptions& options = {}, const ot::CostFunction* cost = nullptr);
+    const RepairOptions& options = {}, const ot::CostFunction* cost = nullptr,
+    const ExecContext& ctx = {});
 
 }  // namespace otclean::core
 

@@ -5,7 +5,7 @@
 
 #include "common/timer.h"
 #include "core/fault_injector.h"
-#include "linalg/parallel_for.h"
+#include "linalg/thread_pool.h"
 
 namespace otclean::core {
 
@@ -63,38 +63,6 @@ Status RepairScheduler::ValidateJob(const RepairJob& job) const {
         "RepairScheduler: job carries its own options solve_cache; jobs "
         "must leave it null — the scheduler injects its one shared cache "
         "(RepairSchedulerOptions::cache_bytes/solve_cache)");
-  }
-  if (job.options.fast.cancel_token != nullptr ||
-      job.options.qclp.cancel_token != nullptr ||
-      job.options.fairness.cancel_token != nullptr) {
-    // Same policy again: cancellation of scheduled jobs goes through
-    // Cancel(ticket) on the scheduler-owned token. A job-supplied token
-    // would leave two parties able to stop one solve, with no way to tell
-    // a caller cancel from a scheduler drain in the result. Checked on
-    // every solver family's options — the scheduler wires its token into
-    // whichever one the job's solver reads.
-    return Status::InvalidArgument(
-        "RepairScheduler: job carries its own options cancel_token; "
-        "scheduled jobs must leave it null — cancellation goes through "
-        "RepairScheduler::Cancel(ticket) on the scheduler-owned token");
-  }
-  if (!job.options.fast.deadline.infinite() ||
-      !job.options.qclp.deadline.infinite() ||
-      !job.options.fairness.deadline.infinite()) {
-    return Status::InvalidArgument(
-        "RepairScheduler: job carries its own options deadline; scheduled "
-        "jobs must leave it infinite and set RepairJob::deadline_seconds "
-        "instead — the scheduler starts the clock at Submit so queue wait "
-        "counts against the budget");
-  }
-  if (options_.fault_injector != nullptr &&
-      job.options.fast.fault_injector != nullptr) {
-    return Status::InvalidArgument(
-        "RepairScheduler: job carries its own options fault_injector while "
-        "the scheduler already has one "
-        "(RepairSchedulerOptions::fault_injector); jobs must leave it null "
-        "— two harnesses double-counting visits would make the Nth-visit "
-        "arming meaningless");
   }
   if (job.deadline_seconds.has_value()) {
     const double d = *job.deadline_seconds;
@@ -233,7 +201,7 @@ void RepairScheduler::ExecutorLoop() {
     // Admission happened a while ago: re-check the stop conditions before
     // spending a solve on a job whose caller cancelled it in the queue or
     // whose deadline burned down while it waited.
-    Status admitted = CheckStop(&pending->token, pending->deadline,
+    Status admitted = CheckStop(Context(*pending),
                                 "RepairScheduler: job dequeued");
     Result<RepairReport> result =
         admitted.ok() ? RunOne(*pending) : Result<RepairReport>(admitted);
@@ -256,18 +224,6 @@ Result<RepairReport> RepairScheduler::RunOne(PendingJob& pending) {
   opts.fast.thread_pool = pool_;
   opts.qclp.thread_pool = pool_;
   opts.fast.solve_cache = cache_;
-  // One token, one deadline, wired into every solver family: whichever
-  // path the job's Solver dispatches to polls the same scheduler-owned
-  // stop signals.
-  opts.fast.cancel_token = &pending.token;
-  opts.fast.deadline = pending.deadline;
-  opts.qclp.cancel_token = &pending.token;
-  opts.qclp.deadline = pending.deadline;
-  opts.fairness.cancel_token = &pending.token;
-  opts.fairness.deadline = pending.deadline;
-  if (opts.fast.fault_injector == nullptr) {
-    opts.fast.fault_injector = options_.fault_injector;
-  }
   if (pool_ == nullptr) {
     // A width-1 pool resolution means the scheduler's contract is "solves
     // run serial, executors are the only concurrency". Left at N>1, each
@@ -278,10 +234,14 @@ Result<RepairReport> RepairScheduler::RunOne(PendingJob& pending) {
     opts.fast.num_threads = 1;
     opts.qclp.num_threads = 1;
   }
+  // One context per job: whichever solver family the job picked polls the
+  // scheduler-owned token and the Submit-anchored deadline.
+  const ExecContext ctx = Context(pending);
   if (job.constraints.size() == 1) {
-    return RepairTable(*job.table, job.constraints.front(), opts, job.cost);
+    return RepairTable(*job.table, job.constraints.front(), opts, job.cost,
+                       ctx);
   }
-  return RepairTableMulti(*job.table, job.constraints, opts, job.cost);
+  return RepairTableMulti(*job.table, job.constraints, opts, job.cost, ctx);
 }
 
 BatchReport RepairScheduler::Run(const std::vector<RepairJob>& jobs) {

@@ -10,7 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/cancellation.h"
+#include "common/exec_context.h"
 #include "common/thread_annotations.h"
 #include "common/result.h"
 #include "core/ci_constraint.h"
@@ -121,8 +121,8 @@ struct RepairSchedulerOptions {
   /// first Submit, the scheduler's earliest fallible call).
   double default_deadline_seconds = 0.0;
   /// Optional fault-injection harness (core/fault_injector.h) threaded
-  /// through the scheduler's shared cache and into every job that does not
-  /// carry its own; must outlive the scheduler. Null costs nothing.
+  /// through the scheduler's shared cache and into every job's
+  /// ExecContext; must outlive the scheduler. Null costs nothing.
   FaultInjector* fault_injector = nullptr;
 };
 
@@ -148,13 +148,11 @@ using JobTicket = uint64_t;
 ///  - Submit/Wait/Cancel — the serving surface: admission control
 ///    (max_queued_jobs), per-job deadlines measured from Submit, and
 ///    cooperative cancellation of queued or in-flight jobs. The scheduler
-///    owns each job's CancellationToken; jobs must arrive with every
-///    solver family's cancel_token null and deadline infinite
-///    (`options.{fast,qclp,fairness}` alike — InvalidArgument otherwise,
-///    the same loud-conflict policy as job-supplied pools and caches). The
-///    scheduler wires its token and the Submit-anchored deadline into all
-///    three, so kQclp and the fairness baselines honor Cancel and
-///    deadline_seconds exactly like FastOTClean jobs.
+///    owns each job's CancellationToken and builds one ExecContext per
+///    job from it, the Submit-anchored deadline and its fault injector,
+///    so kQclp and the fairness baselines honor Cancel and
+///    deadline_seconds exactly like FastOTClean jobs. Options carry no
+///    stop state, so a job cannot bring a competing token or deadline.
 ///  - Run — the batch convenience, reimplemented over Submit/Wait: blocks
 ///    until every job completed, keeps results in batch order, and applies
 ///    backpressure (waiting out earlier jobs) instead of failing when a
@@ -174,7 +172,7 @@ class RepairScheduler {
   RepairScheduler& operator=(const RepairScheduler&) = delete;
 
   /// Admits one job. Validates loudly (null table, empty constraints,
-  /// job-supplied pool/cache/token/deadline conflicts, non-positive
+  /// job-supplied pool/cache conflicts, non-positive
   /// explicit deadline → InvalidArgument), fails fast with
   /// kResourceExhausted when the pending queue is at max_queued_jobs, and
   /// with FailedPrecondition after DrainAndStop. The job's deadline clock
@@ -236,6 +234,11 @@ class RepairScheduler {
   };
 
   Status ValidateJob(const RepairJob& job) const;
+  /// The job's execution context: its token, its deadline and the
+  /// scheduler's fault injector.
+  ExecContext Context(const PendingJob& pending) const {
+    return {&pending.token, pending.deadline, options_.fault_injector};
+  }
   Result<RepairReport> RunOne(PendingJob& pending);
   void ExecutorLoop() OTCLEAN_EXCLUDES(mu_);
 

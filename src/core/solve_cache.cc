@@ -1,5 +1,7 @@
 #include "core/solve_cache.h"
 
+#include <variant>
+
 #include "common/hash.h"
 #include "core/fault_injector.h"
 #include "linalg/simd.h"
@@ -8,8 +10,16 @@ namespace otclean::core {
 
 namespace {
 
-size_t MatrixBytes(const std::shared_ptr<const linalg::Matrix>& m) {
-  return m ? m->size() * sizeof(double) : 0;
+/// Heap bytes of one storage behind a non-null handle.
+size_t StorageBytes(const linalg::Matrix& m) {
+  return m.size() * sizeof(double);
+}
+size_t StorageBytes(const linalg::FloatMatrix& m) {
+  return m.size() * sizeof(float);
+}
+template <typename T>
+size_t StorageBytes(const linalg::BasicSparseKernelStorage<T>& s) {
+  return s.MemoryBytes();
 }
 
 size_t WarmBytes(const std::optional<CachedWarmStart>& w) {
@@ -47,10 +57,10 @@ SolveCacheKey MakeSolveCacheKey(uint64_t cost_fingerprint, size_t rows,
 }
 
 size_t CachedKernel::MemoryBytes() const {
-  size_t bytes = MatrixBytes(dense) + MatrixBytes(dense_cost);
-  if (sparse) bytes += sparse->MemoryBytes();
-  if (dense_f32) bytes += dense_f32->size() * sizeof(float);
-  if (sparse_f32) bytes += sparse_f32->MemoryBytes();
+  size_t bytes = std::visit(
+      [](const auto& held) { return held ? StorageBytes(*held) : 0; },
+      storage);
+  if (dense_cost) bytes += StorageBytes(*dense_cost);
   if (support_costs) bytes += support_costs->size() * sizeof(double);
   return bytes;
 }
@@ -60,10 +70,8 @@ bool CachedKernel::InUse() const {
   // general, but we only read it under the cache mutex, and every external
   // handle was created under that same mutex — a transient over-count
   // (solve just finished) merely delays eviction one round.
-  return (dense && dense.use_count() > 1) ||
-         (sparse && sparse.use_count() > 1) ||
-         (dense_f32 && dense_f32.use_count() > 1) ||
-         (sparse_f32 && sparse_f32.use_count() > 1) ||
+  return std::visit([](const auto& held) { return held.use_count() > 1; },
+                    storage) ||
          (support_costs && support_costs.use_count() > 1) ||
          (dense_cost && dense_cost.use_count() > 1);
 }

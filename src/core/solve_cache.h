@@ -8,6 +8,7 @@
 #include <optional>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -67,27 +68,37 @@ SolveCacheKey MakeSolveCacheKey(
     double truncation, bool log_domain, uint64_t salt = 0,
     linalg::Precision precision = linalg::Precision::kFloat64);
 
-/// Shared handles to one solve's immutable built artifacts. Exactly one of
-/// `dense`/`sparse`/`dense_f32`/`sparse_f32` is set (the kernel
-/// K = e^{−C/ε}, or its log L = −C/ε — the key's log_domain flag says
-/// which; the key's precision flag picks the f32 pair); the others are
-/// optional companions the same solve would otherwise rebuild:
-/// `support_costs` is the GatherSupportCosts cache aligned with the sparse
-/// kernel's values, `dense_cost` the materialized cost matrix of the dense
-/// path. Everything is shared_ptr-held and immutable, so a hit hands out
-/// the very same storage the miss built — arithmetic over it is
-/// bit-identical by construction. Solvers never pick a field by hand:
-/// AcquireKernel reaches the one a kernel type stores through StorageSlot.
+/// The one kernel storage a cache entry holds: dense or CSR, f64 or f32
+/// (the kernel K = e^{−C/ε}, or its log L = −C/ε — the key's log_domain
+/// flag says which). A null handle of any alternative holds nothing.
+using KernelStorageHandle = std::variant<
+    std::shared_ptr<const linalg::Matrix>,
+    std::shared_ptr<const linalg::SparseKernelStorage>,
+    std::shared_ptr<const linalg::FloatMatrix>,
+    std::shared_ptr<const linalg::BasicSparseKernelStorage<float>>>;
+
+/// Shared handles to one solve's immutable built artifacts: the kernel
+/// `storage`, plus optional companions the same solve would otherwise
+/// rebuild — `support_costs` is the GatherSupportCosts cache aligned with
+/// the sparse kernel's values, `dense_cost` the materialized cost matrix
+/// of the dense path. Everything is shared_ptr-held and immutable, so a
+/// hit hands out the very same storage the miss built — arithmetic over
+/// it is bit-identical by construction.
 struct CachedKernel {
-  std::shared_ptr<const linalg::Matrix> dense;
-  std::shared_ptr<const linalg::SparseKernelStorage> sparse;
-  std::shared_ptr<const linalg::FloatMatrix> dense_f32;
-  std::shared_ptr<const linalg::BasicSparseKernelStorage<float>> sparse_f32;
+  KernelStorageHandle storage;
   std::shared_ptr<const std::vector<double>> support_costs;
   std::shared_ptr<const linalg::Matrix> dense_cost;
 
+  /// The held storage when it is a `Storage` (a kernel's Kernel::Storage),
+  /// null otherwise.
+  template <typename Storage>
+  std::shared_ptr<const Storage> As() const {
+    const auto* held = std::get_if<std::shared_ptr<const Storage>>(&storage);
+    return held != nullptr ? *held : nullptr;
+  }
   bool empty() const {
-    return !dense && !sparse && !dense_f32 && !sparse_f32;
+    return std::visit([](const auto& held) { return held == nullptr; },
+                      storage);
   }
   /// Approximate heap footprint of all held storages.
   size_t MemoryBytes() const;
@@ -96,30 +107,6 @@ struct CachedKernel {
   /// evicted — eviction would not free the memory anyway.
   bool InUse() const;
 };
-
-/// The CachedKernel field that holds a `Storage` (a kernel's
-/// Kernel::Storage): dense or CSR, f64 or f32.
-template <typename Storage>
-std::shared_ptr<const Storage>& StorageSlot(CachedKernel& entry);
-template <>
-inline std::shared_ptr<const linalg::Matrix>& StorageSlot(CachedKernel& e) {
-  return e.dense;
-}
-template <>
-inline std::shared_ptr<const linalg::SparseKernelStorage>& StorageSlot(
-    CachedKernel& e) {
-  return e.sparse;
-}
-template <>
-inline std::shared_ptr<const linalg::FloatMatrix>& StorageSlot(
-    CachedKernel& e) {
-  return e.dense_f32;
-}
-template <>
-inline std::shared_ptr<const linalg::BasicSparseKernelStorage<float>>&
-StorageSlot(CachedKernel& e) {
-  return e.sparse_f32;
-}
 
 /// Converged potentials persisted per key (linear domain; the log path
 /// lifts them via log — the existing warm_u/warm_v plumbing).
@@ -298,7 +285,7 @@ AcquiredKernel<Kernel> AcquireKernel(SolveCache* cache,
                                      linalg::ThreadPool* pool, Build&& build) {
   if (cache != nullptr) {
     if (std::optional<CachedKernel> found = cache->FindKernel(key)) {
-      if (auto storage = StorageSlot<typename Kernel::Storage>(*found)) {
+      if (auto storage = found->As<typename Kernel::Storage>()) {
         return {Kernel(std::move(storage), num_threads, pool),
                 std::move(*found), true};
       }
@@ -306,7 +293,7 @@ AcquiredKernel<Kernel> AcquireKernel(SolveCache* cache,
   }
   CachedKernel entry;
   Kernel kernel = build(entry);
-  StorageSlot<typename Kernel::Storage>(entry) = kernel.shared_storage();
+  entry.storage = kernel.shared_storage();
   if (cache != nullptr) cache->InsertKernel(key, entry);
   return {std::move(kernel), std::move(entry), false};
 }

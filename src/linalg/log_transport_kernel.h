@@ -40,7 +40,7 @@ class ThreadPool;
 /// Threading and determinism mirror TransportKernel: primitives run
 /// row-blocked (column-blocked for the transpose) on ParallelFor with
 /// owned output ranges, dispatching on the same borrowed ThreadPool, so
-/// pooled/spawned/serial runs at any thread count are bit-identical. The
+/// pooled and serial runs at any thread count are bit-identical. The
 /// SIMD layer's log-domain contract (simd.h) adds: max passes are
 /// bit-identical across every tier, exp-sums differ only by lane-sum
 /// rounding, and every tier evaluates one shared e^x polynomial

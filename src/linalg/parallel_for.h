@@ -3,25 +3,15 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <thread>
-#include <vector>
 
 namespace otclean::linalg {
 
-/// Resolves a requested thread count: 0 means "use hardware concurrency"
-/// (never less than 1).
-inline size_t ResolveThreadCount(size_t requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<size_t>(hw);
-}
-
-/// Minimum per-thread work (loop indices) below which spawning threads
-/// costs more than it saves; ranges smaller than this run inline.
+/// Minimum per-chunk work (loop indices) below which dispatching to pool
+/// workers costs more than it saves; ranges smaller than this run inline.
 inline constexpr size_t kMinParallelGrain = 256;
 
 /// Minimum scalar operations per worker before threading pays for the
-/// spawn/join. Callers whose loop indices carry non-unit work (e.g. one
+/// dispatch. Callers whose loop indices carry non-unit work (e.g. one
 /// matrix row of n multiplies) should derive their grain from this.
 inline constexpr size_t kMinParallelWork = 2048;
 
@@ -33,10 +23,11 @@ inline size_t GrainForWork(size_t work_per_index) {
   return grain == 0 ? 1 : grain;
 }
 
-/// The contiguous-chunk decomposition every ParallelFor execution mode
-/// (spawn-per-call, pooled, serial) derives from. Computing it in exactly
-/// one place is what makes the modes bit-identical: chunk boundaries
-/// depend only on (n, threads, grain), never on who runs the chunks.
+/// The contiguous-chunk decomposition ParallelFor (linalg/thread_pool.h)
+/// runs, whether pool workers or the calling thread execute the chunks.
+/// Computing it in exactly one place is what makes pooled and serial runs
+/// bit-identical: chunk boundaries depend only on (n, threads, grain),
+/// never on who runs the chunks.
 struct ChunkPlan {
   size_t chunk = 0;       ///< indices per chunk (chunk c = [c·chunk, …)).
   size_t num_chunks = 0;  ///< non-empty chunks covering [0, n).
@@ -53,68 +44,10 @@ inline ChunkPlan PlanChunks(size_t n, size_t threads, size_t grain) {
   return plan;
 }
 
-/// Runs `fn(begin, end)` over contiguous chunks of [0, n), one chunk per
-/// worker. `threads` must already be resolved (>= 1); it is capped so no
-/// worker gets less than `grain` indices. Chunks are disjoint, so any op
-/// writing only to its own index range is deterministic regardless of the
-/// thread count.
-template <typename Fn>
-void ParallelFor(size_t n, size_t threads, Fn&& fn,
-                 size_t grain = kMinParallelGrain) {
-  const ChunkPlan plan = PlanChunks(n, threads, grain);
-  if (plan.num_chunks == 0) return;
-  if (plan.num_chunks == 1) {
-    fn(size_t{0}, n);
-    return;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(plan.num_chunks - 1);
-  for (size_t c = 1; c < plan.num_chunks; ++c) {
-    const size_t begin = c * plan.chunk;
-    const size_t end = std::min(n, begin + plan.chunk);
-    workers.emplace_back([&fn, begin, end] { fn(begin, end); });
-  }
-  fn(size_t{0}, std::min(n, plan.chunk));
-  for (std::thread& w : workers) w.join();
-}
-
 /// Rows per reduction block. Fixed independently of the thread count so
 /// that blocked reductions add the same partial sums in the same order no
 /// matter how many threads run — threads=1 and threads=N are bit-identical.
 inline constexpr size_t kReduceBlockRows = 256;
-
-/// The one blocked-reduction recipe every execution mode shares: fixed
-/// kReduceBlockRows-sized blocks, partials combined serially in block
-/// order. `run(num_blocks, fn)` supplies the loop executor (spawned,
-/// pooled, or serial); since neither the block decomposition nor the
-/// accumulation depends on the executor, every mode is bit-compatible.
-template <typename BlockFn, typename RunFn>
-double BlockedReduceWith(size_t n, BlockFn&& block_fn, RunFn&& run) {
-  if (n == 0) return 0.0;
-  const size_t num_blocks = (n + kReduceBlockRows - 1) / kReduceBlockRows;
-  std::vector<double> partials(num_blocks, 0.0);
-  run(num_blocks, [&](size_t b_begin, size_t b_end) {
-    for (size_t b = b_begin; b < b_end; ++b) {
-      const size_t begin = b * kReduceBlockRows;
-      const size_t end = std::min(n, begin + kReduceBlockRows);
-      partials[b] = block_fn(begin, end);
-    }
-  });
-  double total = 0.0;
-  for (double p : partials) total += p;
-  return total;
-}
-
-/// Sums `block_fn(begin, end)` over fixed-size blocks of [0, n). The block
-/// decomposition and the final (serial, block-ordered) accumulation do not
-/// depend on `threads`, so the result is bit-compatible across thread
-/// counts.
-template <typename BlockFn>
-double BlockedReduce(size_t n, size_t threads, BlockFn&& block_fn) {
-  return BlockedReduceWith(n, block_fn, [&](size_t blocks, auto&& fn) {
-    ParallelFor(blocks, threads, fn, /*grain=*/1);
-  });
-}
 
 }  // namespace otclean::linalg
 

@@ -23,7 +23,7 @@ namespace otclean::linalg::simd {
 ///    blocks of 4×lanes, combined as (s0+s1)+(s2+s3), a single-accumulator
 ///    lane loop, a fixed-order horizontal lane sum, then a scalar tail).
 ///    Nothing depends on thread count — threading above this layer keeps
-///    its own fixed-block reductions (see parallel_for.h).
+///    its own fixed-block reductions (see BlockedReduce in thread_pool.h).
 ///  - Contiguous and gather variants of the same reduction share that
 ///    recipe, so e.g. `GatherDot(vals, idx, x, n)` with `idx = 0..n-1` is
 ///    bit-identical to `Dot(vals, x, n)` — which keeps dense and

@@ -12,6 +12,12 @@ std::atomic<void*> g_chunk_hook_ctx{nullptr};
 
 }  // namespace
 
+size_t ResolveThreadCount(size_t requested) {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<size_t>(hw);
+}
+
 ThreadPool::ScopedStopFlag::ScopedStopFlag(const std::atomic<bool>* flag)
     : previous_(tls_stop_flag) {
   tls_stop_flag = flag;
@@ -94,10 +100,9 @@ void ThreadPool::RunChunks(size_t num_chunks, void (*chunk_fn)(void*, size_t),
   }
   wake_.NotifyAll();
   // The dispatching thread is a full participant — with W workers the pool
-  // provides W+1 lanes per job, matching the spawn path's "caller runs
-  // chunk 0". Under concurrent dispatch each job is guaranteed at least
-  // its own dispatcher; idle workers join whichever live jobs still have
-  // unclaimed chunks.
+  // provides W+1 lanes per job. Under concurrent dispatch each job is
+  // guaranteed at least its own dispatcher; idle workers join whichever
+  // live jobs still have unclaimed chunks.
   size_t completed = 0;
   for (;;) {
     const size_t c = job.next_chunk.fetch_add(1, std::memory_order_relaxed);

@@ -14,19 +14,20 @@
 
 namespace otclean::linalg {
 
-/// A persistent worker pool for the kernel primitives. The spawn-per-call
-/// ParallelFor in parallel_for.h pays a thread create/join on *every*
-/// primitive invocation — on small plans that startup dominates the actual
-/// arithmetic. A ThreadPool is created once (per solve, or shared across
-/// solves by the caller) and reuses the same workers for every subsequent
-/// dispatch, so an entire Sinkhorn run — thousands of Apply/ApplyTranspose
-/// calls — costs one thread startup total.
+/// Resolves a requested thread count: 0 means "use hardware concurrency"
+/// (never less than 1).
+size_t ResolveThreadCount(size_t requested);
+
+/// A persistent worker pool — the library's one parallel execution mode.
+/// A ThreadPool is created once (per solve, or shared across solves by the
+/// caller) and reuses the same workers for every dispatch, so an entire
+/// Sinkhorn run — thousands of Apply/ApplyTranspose calls — costs one
+/// thread startup total. Without a pool, ParallelFor runs serially.
 ///
 /// Determinism: the pool never decides *what* a chunk computes, only which
-/// OS thread runs it. The pool-aware ParallelFor overload below uses the
-/// exact same chunk decomposition as the spawn-per-call path, and chunks
-/// write disjoint index ranges, so pooled results are bit-identical to
-/// spawned and serial ones.
+/// OS thread runs it. ParallelFor below runs the same PlanChunks
+/// decomposition with or without a pool, and chunks write disjoint index
+/// ranges, so pooled results are bit-identical to serial ones.
 ///
 /// Concurrent dispatch: any number of threads may call RunChunks on the
 /// same pool at the same time (one repair job per dispatcher — the
@@ -139,9 +140,9 @@ class ThreadPool {
 /// Resolves the pool a solve dispatches on: the caller-supplied `external`
 /// when present, otherwise a pool constructed into `owned` for the solve's
 /// duration when more than one thread resolves — so threads start once per
-/// solve, not once per primitive call. Null (spawn-free serial execution)
-/// when one thread resolves. Every solver entry point (Sinkhorn,
-/// FastOTClean, QCLP) funnels through this one policy.
+/// solve, not once per primitive call. Null (serial execution) when one
+/// thread resolves. Every solver entry point (Sinkhorn, FastOTClean, QCLP,
+/// the network simplex) funnels through this one policy.
 inline ThreadPool* ResolveSolvePool(ThreadPool* external, size_t num_threads,
                                     std::optional<ThreadPool>& owned) {
   if (external != nullptr) return external;
@@ -152,23 +153,22 @@ inline ThreadPool* ResolveSolvePool(ThreadPool* external, size_t num_threads,
   return nullptr;
 }
 
-/// Pool-aware ParallelFor: same contract and — critically — the same chunk
-/// decomposition as the spawn-per-call overload in parallel_for.h, so
-/// outputs are bit-identical whether a pool, fresh threads, or a single
-/// thread runs the loop. `threads` bounds the decomposition exactly as in
-/// the spawn path (the pool's worker count only affects scheduling). A
-/// null pool falls back to spawn-per-call.
+/// Runs `fn(begin, end)` over the PlanChunks(n, threads, grain) chunks of
+/// [0, n): on `pool`'s workers and the calling thread when a pool is given,
+/// otherwise one after another on the calling thread. `threads` must
+/// already be resolved (>= 1) and fixes the decomposition; the pool's
+/// width only affects scheduling. Chunks are disjoint, so any op writing
+/// only to its own index range is deterministic regardless of the thread
+/// count and of whether a pool runs it.
 template <typename Fn>
 void ParallelFor(size_t n, size_t threads, Fn&& fn, size_t grain,
                  ThreadPool* pool) {
-  if (pool == nullptr) {
-    ParallelFor(n, threads, std::forward<Fn>(fn), grain);
-    return;
-  }
   const ChunkPlan plan = PlanChunks(n, threads, grain);
   if (plan.num_chunks == 0) return;
-  if (plan.num_chunks == 1) {
-    fn(size_t{0}, n);
+  if (pool == nullptr || plan.num_chunks == 1) {
+    for (size_t begin = 0; begin < n; begin += plan.chunk) {
+      fn(begin, std::min(n, begin + plan.chunk));
+    }
     return;
   }
   struct Job {
@@ -186,15 +186,30 @@ void ParallelFor(size_t n, size_t threads, Fn&& fn, size_t grain,
       &job);
 }
 
-/// Pool-aware BlockedReduce: the shared BlockedReduceWith recipe with a
-/// pooled executor — the result does not depend on the thread count or on
-/// whether a pool is used.
+/// Sums `block_fn(begin, end)` over fixed kReduceBlockRows-sized blocks of
+/// [0, n), blocks distributed by ParallelFor and partials combined serially
+/// in block order. Neither the block decomposition nor the accumulation
+/// depends on `threads` or `pool`, so the result is bit-identical across
+/// thread counts and between pooled and serial runs.
 template <typename BlockFn>
 double BlockedReduce(size_t n, size_t threads, BlockFn&& block_fn,
-                     ThreadPool* pool) {
-  return BlockedReduceWith(n, block_fn, [&](size_t blocks, auto&& fn) {
-    ParallelFor(blocks, threads, fn, /*grain=*/1, pool);
-  });
+                     ThreadPool* pool = nullptr) {
+  if (n == 0) return 0.0;
+  const size_t num_blocks = (n + kReduceBlockRows - 1) / kReduceBlockRows;
+  std::vector<double> partials(num_blocks, 0.0);
+  ParallelFor(
+      num_blocks, threads,
+      [&](size_t b_begin, size_t b_end) {
+        for (size_t b = b_begin; b < b_end; ++b) {
+          const size_t begin = b * kReduceBlockRows;
+          const size_t end = std::min(n, begin + kReduceBlockRows);
+          partials[b] = block_fn(begin, end);
+        }
+      },
+      /*grain=*/1, pool);
+  double total = 0.0;
+  for (double p : partials) total += p;
+  return total;
 }
 
 }  // namespace otclean::linalg

@@ -28,18 +28,18 @@ class ThreadPool;
 /// 1 = serial. Results are bit-compatible across thread counts — outputs
 /// are either written to disjoint index ranges or reduced over fixed-size
 /// blocks whose partial sums are combined in block order (see
-/// parallel_for.h).
+/// BlockedReduce in thread_pool.h).
 ///
 /// Inner loops run on the runtime-dispatched SIMD primitives of
 /// linalg/simd.h. The SIMD layer's own determinism contract composes with
-/// the threading one: for a fixed instruction set, pooled/spawned/serial
-/// runs at any thread count are bit-identical, and dense vs cutoff-zero
+/// the threading one: for a fixed instruction set, pooled and serial runs
+/// at any thread count are bit-identical, and dense vs cutoff-zero
 /// sparse `Apply` share one accumulation recipe.
 ///
 /// `pool`, when non-null, is a persistent worker pool (thread_pool.h) the
-/// primitives dispatch on instead of spawning threads per call — the same
-/// chunk decomposition runs either way, so pooled results stay
-/// bit-identical. The pool is borrowed, not owned: it must outlive the
+/// primitives dispatch on; when null they run serially on the calling
+/// thread. The same chunk decomposition runs either way, so pooled results
+/// stay bit-identical. The pool is borrowed, not owned: it must outlive the
 /// kernel. Solvers create one pool per solve and reuse it across every
 /// Sinkhorn iteration and outer step.
 class TransportKernel {

@@ -312,7 +312,8 @@ Status ValidateMarginals(const linalg::Vector& p, const linalg::Vector& q,
 Result<SparseNetworkSimplexResult> SolveCore(
     const linalg::CostProvider& cost, const ArcSet* arcs,
     const linalg::Vector& p, const linalg::Vector& q,
-    const NetworkSimplexOptions& options, double mass_tol) {
+    const NetworkSimplexOptions& options, double mass_tol,
+    const ExecContext& ctx) {
   const size_t m = p.size();
   const size_t n = q.size();
   if (cost.rows() != m || cost.cols() != n) {
@@ -340,9 +341,7 @@ Result<SparseNetworkSimplexResult> SolveCore(
   std::vector<std::pair<size_t, size_t>> cycle;
   bool optimal = false;
   for (size_t pivot = 0; pivot < options.max_pivots; ++pivot) {
-    Status stop = CheckStop(options.cancel_token, options.deadline,
-                            "SolveTransportNetwork: pivot");
-    if (!stop.ok()) return stop;
+    OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, "SolveTransportNetwork: pivot"));
 
     ComputePotentials(basic_cost, basis, u, v);
     const Candidate enter =
@@ -413,15 +412,15 @@ Result<SparseNetworkSimplexResult> SolveCore(
 Result<SparseNetworkSimplexResult> SolveTransportNetwork(
     const linalg::CostProvider& cost, const linalg::Vector& p,
     const linalg::Vector& q, const NetworkSimplexOptions& options,
-    double mass_tol) {
-  return SolveCore(cost, /*arcs=*/nullptr, p, q, options, mass_tol);
+    double mass_tol, const ExecContext& ctx) {
+  return SolveCore(cost, /*arcs=*/nullptr, p, q, options, mass_tol, ctx);
 }
 
 Result<SparseNetworkSimplexResult> SolveTransportNetworkRestricted(
     const linalg::CostProvider& cost,
     const std::vector<std::vector<size_t>>& arc_cols, const linalg::Vector& p,
     const linalg::Vector& q, const NetworkSimplexOptions& options,
-    double mass_tol) {
+    double mass_tol, const ExecContext& ctx) {
   const size_t m = p.size();
   const size_t n = q.size();
   if (arc_cols.size() != m) {
@@ -466,16 +465,16 @@ Result<SparseNetworkSimplexResult> SolveTransportNetworkRestricted(
   // Big-M: strictly dominates any path of kept arcs so artificial arcs
   // only survive when the kept set is genuinely infeasible.
   arcs.big_m = (max_abs + 1.0) * 4.0 * static_cast<double>(m + n + 1);
-  return SolveCore(cost, &arcs, p, q, options, mass_tol);
+  return SolveCore(cost, &arcs, p, q, options, mass_tol, ctx);
 }
 
 Result<NetworkSimplexResult> SolveTransportNetwork(
     const linalg::Matrix& cost, const linalg::Vector& p,
     const linalg::Vector& q, const NetworkSimplexOptions& options,
-    double mass_tol) {
+    double mass_tol, const ExecContext& ctx) {
   linalg::MatrixCostProvider provider(cost);
   Result<SparseNetworkSimplexResult> sparse =
-      SolveCore(provider, /*arcs=*/nullptr, p, q, options, mass_tol);
+      SolveCore(provider, /*arcs=*/nullptr, p, q, options, mass_tol, ctx);
   if (!sparse.ok()) return sparse.status();
   NetworkSimplexResult result;
   result.plan = linalg::Matrix(p.size(), q.size(), 0.0);

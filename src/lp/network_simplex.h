@@ -4,7 +4,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/cancellation.h"
+#include "common/exec_context.h"
 #include "common/result.h"
 #include "linalg/cost_provider.h"
 #include "linalg/matrix.h"
@@ -40,9 +40,6 @@ struct NetworkSimplexOptions {
   size_t num_threads = 1;
   /// Optional shared pool for the pricing scan; must outlive the call.
   linalg::ThreadPool* thread_pool = nullptr;
-  /// Cooperative stop signals, polled once per pivot.
-  const CancellationToken* cancel_token = nullptr;
-  Deadline deadline = Deadline::Infinite();
 };
 
 struct NetworkSimplexResult {
@@ -68,11 +65,12 @@ struct SparseNetworkSimplexResult {
 
 /// Solves the transportation problem over a streamed cost oracle on the
 /// full m×n grid. `p` and `q` must be non-negative with equal total mass
-/// (within `mass_tol`).
+/// (within `mass_tol`). Every entry point polls `ctx`'s token and deadline
+/// once per pivot.
 Result<SparseNetworkSimplexResult> SolveTransportNetwork(
     const linalg::CostProvider& cost, const linalg::Vector& p,
     const linalg::Vector& q, const NetworkSimplexOptions& options = {},
-    double mass_tol = 1e-6);
+    double mass_tol = 1e-6, const ExecContext& ctx = {});
 
 /// Support-restricted variant: arcs exist only on the kept-set
 /// `arc_cols[i]` (sorted, deduplicated column ids per row — e.g. a
@@ -84,7 +82,7 @@ Result<SparseNetworkSimplexResult> SolveTransportNetworkRestricted(
     const linalg::CostProvider& cost,
     const std::vector<std::vector<size_t>>& arc_cols, const linalg::Vector& p,
     const linalg::Vector& q, const NetworkSimplexOptions& options = {},
-    double mass_tol = 1e-6);
+    double mass_tol = 1e-6, const ExecContext& ctx = {});
 
 /// Dense convenience wrapper: adapts `cost` with linalg::MatrixCostProvider,
 /// runs the streaming engine, and scatters the sparse result into a dense
@@ -92,7 +90,7 @@ Result<SparseNetworkSimplexResult> SolveTransportNetworkRestricted(
 Result<NetworkSimplexResult> SolveTransportNetwork(
     const linalg::Matrix& cost, const linalg::Vector& p,
     const linalg::Vector& q, const NetworkSimplexOptions& options = {},
-    double mass_tol = 1e-6);
+    double mass_tol = 1e-6, const ExecContext& ctx = {});
 
 }  // namespace otclean::lp
 

@@ -14,7 +14,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 Result<RevisedSimplexResult> SolveRevisedSimplex(
     const ColumnOracle& oracle, const linalg::Vector& b,
-    const RevisedSimplexOptions& options) {
+    const RevisedSimplexOptions& options, const ExecContext& ctx) {
   const size_t rows = oracle.num_rows();
   const size_t cols = oracle.num_cols();
   if (b.size() != rows) {
@@ -49,9 +49,7 @@ Result<RevisedSimplexResult> SolveRevisedSimplex(
   bool phase1 = true;
   size_t iter = 0;
   for (; iter < options.max_iterations; ++iter) {
-    Status stop = CheckStop(options.cancel_token, options.deadline,
-                            "SolveRevisedSimplex: pivot");
-    if (!stop.ok()) return stop;
+    OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, "SolveRevisedSimplex: pivot"));
 
     if (phase1) {
       double artificial_mass = 0.0;

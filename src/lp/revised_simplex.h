@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/cancellation.h"
+#include "common/exec_context.h"
 #include "common/result.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
@@ -51,9 +51,6 @@ struct RevisedSimplexOptions {
   size_t max_iterations = 200000;
   /// Reduced-cost / pivot tolerance.
   double tol = 1e-9;
-  /// Cooperative stop signals, polled once per pivot.
-  const CancellationToken* cancel_token = nullptr;
-  Deadline deadline = Deadline::Infinite();
 };
 
 struct RevisedSimplexResult {
@@ -74,9 +71,10 @@ struct RevisedSimplexResult {
 /// artificials out (InvalidArgument if the system is infeasible); phase 2
 /// optimizes the true objective, forcing any residual degenerate
 /// artificials out with zero-length pivots so they never re-acquire mass.
+/// `ctx`'s token and deadline are polled once per pivot.
 Result<RevisedSimplexResult> SolveRevisedSimplex(
     const ColumnOracle& oracle, const linalg::Vector& b,
-    const RevisedSimplexOptions& options = {});
+    const RevisedSimplexOptions& options = {}, const ExecContext& ctx = {});
 
 }  // namespace otclean::lp
 

@@ -8,7 +8,8 @@ namespace otclean::ot {
 Result<double> ExactOtDistance(const prob::JointDistribution& p,
                                const prob::JointDistribution& q,
                                const CostFunction& cost,
-                               const ExactOtOptions& options) {
+                               const ExactOtOptions& options,
+                               const ExecContext& ctx) {
   if (!(p.domain() == q.domain())) {
     return Status::InvalidArgument("ExactOtDistance: domain mismatch");
   }
@@ -43,17 +44,10 @@ Result<double> ExactOtDistance(const prob::JointDistribution& p,
   net.max_pivots = options.max_pivots;
   net.num_threads = options.num_threads;
   net.thread_pool = options.thread_pool;
-  net.cancel_token = options.cancel_token;
-  net.deadline = options.deadline;
-  OTCLEAN_ASSIGN_OR_RETURN(lp::SparseNetworkSimplexResult tr,
-                           lp::SolveTransportNetwork(provider, pv, qv, net));
+  OTCLEAN_ASSIGN_OR_RETURN(
+      lp::SparseNetworkSimplexResult tr,
+      lp::SolveTransportNetwork(provider, pv, qv, net, /*mass_tol=*/1e-6, ctx));
   return tr.cost;
-}
-
-Result<double> ExactOtDistance(const prob::JointDistribution& p,
-                               const prob::JointDistribution& q,
-                               const CostFunction& cost) {
-  return ExactOtDistance(p, q, cost, ExactOtOptions{});
 }
 
 }  // namespace otclean::ot

@@ -3,7 +3,7 @@
 
 #include <cstddef>
 
-#include "common/cancellation.h"
+#include "common/exec_context.h"
 #include "common/result.h"
 #include "ot/cost.h"
 #include "prob/joint.h"
@@ -14,17 +14,14 @@ class ThreadPool;
 
 namespace otclean::ot {
 
-/// Engine knobs for the exact solve: pooled pivot pricing and cooperative
-/// stop checks, mirroring the Sinkhorn path's options surface.
+/// Engine knobs for the exact solve: pooled pivot pricing, mirroring the
+/// Sinkhorn path's options surface.
 struct ExactOtOptions {
   /// Worker lanes for the network-simplex pricing scan (0 = hardware
   /// concurrency, 1 = serial). Results are identical across thread counts.
   size_t num_threads = 1;
   /// Optional shared pool; must outlive the call.
   linalg::ThreadPool* thread_pool = nullptr;
-  /// Cooperative stop signals, polled once per simplex pivot.
-  const CancellationToken* cancel_token = nullptr;
-  Deadline deadline = Deadline::Infinite();
   /// Pivot cap forwarded to the network simplex.
   size_t max_pivots = 100000;
 };
@@ -37,15 +34,13 @@ struct ExactOtOptions {
 /// costs stream through a linalg::CostProvider into the network simplex —
 /// no dense support×support cost matrix is materialized. Non-finite cost
 /// entries are rejected with a row/col-indexed InvalidArgument, matching
-/// ValidateInputs on the Sinkhorn path.
+/// ValidateInputs on the Sinkhorn path. `ctx`'s token and deadline are
+/// polled once per simplex pivot.
 Result<double> ExactOtDistance(const prob::JointDistribution& p,
                                const prob::JointDistribution& q,
                                const CostFunction& cost,
-                               const ExactOtOptions& options);
-
-Result<double> ExactOtDistance(const prob::JointDistribution& p,
-                               const prob::JointDistribution& q,
-                               const CostFunction& cost);
+                               const ExactOtOptions& options = {},
+                               const ExecContext& ctx = {});
 
 }  // namespace otclean::ot
 

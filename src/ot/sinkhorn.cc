@@ -11,7 +11,6 @@
 
 #include "core/solve_cache.h"
 #include "linalg/log_transport_kernel.h"
-#include "linalg/parallel_for.h"
 #include "linalg/thread_pool.h"
 
 namespace otclean::ot {
@@ -55,22 +54,21 @@ double RelaxedExponent(const SinkhornOptions& options) {
 /// relaxed exponent and clamping); `col_update(new_u, new_v)` the
 /// converse; `delta(a, b)` measures the max-change between successive
 /// potentials.
-/// A non-OK return means the solve was aborted by `options.cancel_token`
-/// or `options.deadline` — the stop is checked once per iteration, before
+/// A non-OK return means the solve was aborted by the context's token or
+/// deadline — the stop is checked once per iteration, before
 /// the half-updates, so an abort never leaves a half-applied iteration
 /// and a completed loop is bit-identical to one run without the checks.
 /// The caller's ScopedStopFlag (installed around this loop) additionally
 /// lets pooled kernel dispatches drain mid-iteration once a token fires.
 template <typename RowUpdate, typename ColUpdate, typename Delta>
 Status RunScalingLoop(linalg::Vector& u, linalg::Vector& v,
-                      const SinkhornOptions& options, const char* where,
-                      size_t& iterations, bool& converged,
+                      const SinkhornOptions& options, const ExecContext& ctx,
+                      const char* where, size_t& iterations, bool& converged,
                       RowUpdate&& row_update, ColUpdate&& col_update,
                       Delta&& delta) {
   linalg::Vector new_u(u.size()), new_v(v.size());
   for (size_t it = 0; it < options.max_iterations; ++it) {
-    OTCLEAN_RETURN_NOT_OK(
-        CheckStop(options.cancel_token, options.deadline, where));
+    OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, where));
     row_update(v, new_u);
     col_update(new_u, new_v);
     const double du = delta(new_u, u);
@@ -390,7 +388,7 @@ Result<EpsilonAnnealStage> RunAnnealStage(
     const linalg::CostProvider& cost, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& stage_options,
     bool sparse, double cutoff, linalg::Vector& u, linalg::Vector& v,
-    linalg::ThreadPool* pool) {
+    linalg::ThreadPool* pool, const ExecContext& ctx) {
   const size_t threads = stage_options.num_threads;
   const double eps = stage_options.epsilon;
   CacheSession session(stage_options, cost.rows(), cost.cols(),
@@ -419,7 +417,7 @@ Result<EpsilonAnnealStage> RunAnnealStage(
     WarmLogPotentials(&v, v.size(), lv);
     OTCLEAN_ASSIGN_OR_RETURN(
         SinkhornLogScaling scaling,
-        RunSinkhornLogScaling(*kernel, p, q, stage_options, &*lu, &*lv));
+        RunSinkhornLogScaling(*kernel, p, q, stage_options, &*lu, &*lv, ctx));
     ExpPotentials(scaling.lu, u);
     ExpPotentials(scaling.lv, v);
     stage.iterations = scaling.iterations;
@@ -445,7 +443,7 @@ Result<EpsilonAnnealStage> RunAnnealStage(
       });
   OTCLEAN_ASSIGN_OR_RETURN(
       SinkhornScaling scaling,
-      RunSinkhornScaling(*kernel, p, q, stage_options, &u, &v));
+      RunSinkhornScaling(*kernel, p, q, stage_options, &u, &v, ctx));
   u = std::move(scaling.u);
   v = std::move(scaling.v);
   stage.iterations = scaling.iterations;
@@ -463,7 +461,8 @@ Result<SinkhornResult> RunSinkhornLogDomain(const linalg::Matrix& cost,
                                             const SinkhornOptions& options,
                                             const linalg::Vector* warm_u,
                                             const linalg::Vector* warm_v,
-                                            linalg::ThreadPool* pool) {
+                                            linalg::ThreadPool* pool,
+                                            const ExecContext& ctx) {
   CacheSession session(options, cost.rows(), cost.cols(), /*cutoff=*/0.0);
   session.MaybeWarm(warm_u, warm_v);
   EpsilonAnnealWarmStart anneal;
@@ -471,7 +470,7 @@ Result<SinkhornResult> RunSinkhornLogDomain(const linalg::Matrix& cost,
     OTCLEAN_ASSIGN_OR_RETURN(
         anneal,
         RunSinkhornAnnealed(linalg::MatrixCostProvider(cost), p, q, options,
-                            /*sparse=*/false, /*cutoff=*/0.0, pool));
+                            /*sparse=*/false, /*cutoff=*/0.0, pool, ctx));
     warm_u = &anneal.u;
     warm_v = &anneal.v;
   }
@@ -489,7 +488,7 @@ Result<SinkhornResult> RunSinkhornLogDomain(const linalg::Matrix& cost,
       SinkhornLogScaling scaling,
       RunSinkhornLogScaling(*kernel, p, q, options,
                             warm_lu ? &*warm_lu : nullptr,
-                            warm_lv ? &*warm_lv : nullptr));
+                            warm_lv ? &*warm_lv : nullptr, ctx));
 
   SinkhornResult result;
   result.plan = kernel->ScaleToPlan(scaling.lu, scaling.lv);
@@ -510,7 +509,8 @@ Result<SinkhornResult> RunSinkhornLogDomain(const linalg::Matrix& cost,
 Result<SinkhornScaling> RunSinkhornScaling(
     const linalg::TransportKernel& kernel, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& options,
-    const linalg::Vector* warm_u, const linalg::Vector* warm_v) {
+    const linalg::Vector* warm_u, const linalg::Vector* warm_v,
+    const ExecContext& ctx) {
   const size_t m = kernel.rows();
   const size_t n = kernel.cols();
   if (p.size() != m || q.size() != n) {
@@ -552,11 +552,9 @@ Result<SinkhornScaling> RunSinkhornScaling(
   // While the loop runs, pooled kernel dispatches observe the token too:
   // a fired token drains in-flight Apply/ApplyTranspose dispatches without
   // touching their chunk decomposition.
-  linalg::ThreadPool::ScopedStopFlag stop_scope(
-      options.cancel_token != nullptr ? options.cancel_token->flag()
-                                      : nullptr);
+  linalg::ThreadPool::ScopedStopFlag stop_scope(ctx.stop_flag());
   OTCLEAN_RETURN_NOT_OK(RunScalingLoop(
-      out.u, out.v, options, "RunSinkhornScaling", out.iterations,
+      out.u, out.v, options, ctx, "RunSinkhornScaling", out.iterations,
       out.converged,
       /*row_update=*/
       [&](const linalg::Vector& v, linalg::Vector& next_u) {
@@ -578,7 +576,8 @@ Result<SinkhornScaling> RunSinkhornScaling(
 Result<SinkhornLogScaling> RunSinkhornLogScaling(
     const linalg::LogTransportKernel& kernel, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& options,
-    const linalg::Vector* warm_lu, const linalg::Vector* warm_lv) {
+    const linalg::Vector* warm_lu, const linalg::Vector* warm_lv,
+    const ExecContext& ctx) {
   const size_t m = kernel.rows();
   const size_t n = kernel.cols();
   if (p.size() != m || q.size() != n) {
@@ -603,11 +602,9 @@ Result<SinkhornLogScaling> RunSinkhornLogScaling(
 
   const double exponent = RelaxedExponent(options);
   linalg::Vector lse_rows(m), lse_cols(n);
-  linalg::ThreadPool::ScopedStopFlag stop_scope(
-      options.cancel_token != nullptr ? options.cancel_token->flag()
-                                      : nullptr);
+  linalg::ThreadPool::ScopedStopFlag stop_scope(ctx.stop_flag());
   OTCLEAN_RETURN_NOT_OK(RunScalingLoop(
-      out.lu, out.lv, options, "RunSinkhornLogScaling", out.iterations,
+      out.lu, out.lv, options, ctx, "RunSinkhornLogScaling", out.iterations,
       out.converged,
       // Log-domain half-iterations: lu_i = λ'·(log p_i − log(K·v)_i) with
       // the LSE streamed by the kernel; p_i = 0 (or an unreachable row)
@@ -639,7 +636,8 @@ Result<SinkhornResult> RunSinkhorn(const linalg::Matrix& cost,
                                    const linalg::Vector& q,
                                    const SinkhornOptions& options,
                                    const linalg::Vector* warm_u,
-                                   const linalg::Vector* warm_v) {
+                                   const linalg::Vector* warm_v,
+                                   const ExecContext& ctx) {
   if (Status s = ValidateInputs("RunSinkhorn", linalg::MatrixCostProvider(cost),
                                 p, q, options);
       !s.ok()) {
@@ -652,13 +650,13 @@ Result<SinkhornResult> RunSinkhorn(const linalg::Matrix& cost,
   }
   // Entry stop check: an already-fired token / expired deadline aborts
   // before any kernel is built (or fetched and pinned from the cache).
-  OTCLEAN_RETURN_NOT_OK(
-      CheckStop(options.cancel_token, options.deadline, "RunSinkhorn"));
+  OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, "RunSinkhorn"));
   std::optional<linalg::ThreadPool> owned_pool;
   linalg::ThreadPool* pool = linalg::ResolveSolvePool(
       options.thread_pool, options.num_threads, owned_pool);
   if (options.log_domain) {
-    return RunSinkhornLogDomain(cost, p, q, options, warm_u, warm_v, pool);
+    return RunSinkhornLogDomain(cost, p, q, options, warm_u, warm_v, pool,
+                                ctx);
   }
 
   CacheSession session(options, cost.rows(), cost.cols(), /*cutoff=*/0.0);
@@ -668,7 +666,7 @@ Result<SinkhornResult> RunSinkhorn(const linalg::Matrix& cost,
     OTCLEAN_ASSIGN_OR_RETURN(
         anneal,
         RunSinkhornAnnealed(linalg::MatrixCostProvider(cost), p, q, options,
-                            /*sparse=*/false, /*cutoff=*/0.0, pool));
+                            /*sparse=*/false, /*cutoff=*/0.0, pool, ctx));
     warm_u = &anneal.u;
     warm_v = &anneal.v;
   }
@@ -681,7 +679,7 @@ Result<SinkhornResult> RunSinkhorn(const linalg::Matrix& cost,
       });
   OTCLEAN_ASSIGN_OR_RETURN(
       SinkhornScaling scaling,
-      RunSinkhornScaling(*kernel, p, q, options, warm_u, warm_v));
+      RunSinkhornScaling(*kernel, p, q, options, warm_u, warm_v, ctx));
 
   SinkhornResult result;
   result.plan = kernel->ScaleToPlan(scaling.u, scaling.v);
@@ -728,7 +726,7 @@ Status CheckTruncatedKernelSupport(const std::vector<size_t>& row_ptr,
 Result<EpsilonAnnealWarmStart> RunSinkhornAnnealed(
     const linalg::CostProvider& cost, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& options, bool sparse,
-    double cutoff, linalg::ThreadPool* pool) {
+    double cutoff, linalg::ThreadPool* pool, const ExecContext& ctx) {
   const EpsilonSchedule& sched = options.epsilon_schedule;
   if (!sched.enabled()) {
     return Status::InvalidArgument(
@@ -760,10 +758,9 @@ Result<EpsilonAnnealWarmStart> RunSinkhornAnnealed(
   out.v = linalg::Vector::Ones(cost.cols());
   double eps = sched.initial_epsilon;
   while (eps > options.epsilon) {
-    // Per-stage stop check; the stage options copy below also carries the
-    // token/deadline into the stage's own engine loop.
-    OTCLEAN_RETURN_NOT_OK(CheckStop(options.cancel_token, options.deadline,
-                                    "RunSinkhornAnnealed"));
+    // Per-stage stop check; the stage's own engine loop polls the same
+    // context every iteration.
+    OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, "RunSinkhornAnnealed"));
     SinkhornOptions stage_options = options;
     stage_options.epsilon = eps;
     stage_options.tolerance = sched.stage_tolerance;
@@ -776,7 +773,7 @@ Result<EpsilonAnnealWarmStart> RunSinkhornAnnealed(
     OTCLEAN_ASSIGN_OR_RETURN(
         EpsilonAnnealStage stage,
         RunAnnealStage(cost, p, q, stage_options, sparse, cutoff, out.u,
-                       out.v, pool));
+                       out.v, pool, ctx));
     out.stages.push_back(stage);
     const double next = std::max(options.epsilon, eps * sched.decay);
     RescalePotentials(out.u, eps / next);
@@ -806,7 +803,7 @@ Result<SparseSinkhornResult> SolveSparse(
     const linalg::Vector& p, const linalg::Vector& q,
     const linalg::Vector* q_check, const SinkhornOptions& options,
     const linalg::Vector* warm_u, const linalg::Vector* warm_v,
-    CacheSession& session) {
+    CacheSession& session, const ExecContext& ctx) {
   // Support depends on p/q, not just the kernel — re-check on hits too.
   const auto& storage = *kernel.shared_storage();
   OTCLEAN_RETURN_NOT_OK(CheckTruncatedKernelSupport(
@@ -821,7 +818,7 @@ Result<SparseSinkhornResult> SolveSparse(
         SinkhornLogScaling scaling,
         RunSinkhornLogScaling(kernel, p, q, options,
                               warm_lu ? &*warm_lu : nullptr,
-                              warm_lv ? &*warm_lv : nullptr));
+                              warm_lv ? &*warm_lv : nullptr, ctx));
     result.plan = kernel.ScaleToPlanSparse(scaling.lu, scaling.lv);
     result.transport_cost = kernel.TransportCost(cost, scaling.lu, scaling.lv);
     ExpPotentials(scaling.lu, result.u);
@@ -831,7 +828,7 @@ Result<SparseSinkhornResult> SolveSparse(
   } else {
     OTCLEAN_ASSIGN_OR_RETURN(
         SinkhornScaling scaling,
-        RunSinkhornScaling(kernel, p, q, options, warm_u, warm_v));
+        RunSinkhornScaling(kernel, p, q, options, warm_u, warm_v, ctx));
     result.plan = kernel.ScaleToPlanSparse(scaling.u, scaling.v);
     result.transport_cost = kernel.TransportCost(cost, scaling.u, scaling.v);
     result.u = std::move(scaling.u);
@@ -849,7 +846,7 @@ Result<SparseSinkhornResult> RunSinkhornSparse(
     const linalg::CostProvider& cost, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& options,
     double kernel_cutoff, const linalg::Vector* warm_u,
-    const linalg::Vector* warm_v) {
+    const linalg::Vector* warm_v, const ExecContext& ctx) {
   if (Status s = ValidateInputs("RunSinkhornSparse", cost, p, q, options);
       !s.ok()) {
     return s;
@@ -863,8 +860,7 @@ Result<SparseSinkhornResult> RunSinkhornSparse(
       !s.ok()) {
     return s;
   }
-  OTCLEAN_RETURN_NOT_OK(
-      CheckStop(options.cancel_token, options.deadline, "RunSinkhornSparse"));
+  OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, "RunSinkhornSparse"));
 
   std::optional<linalg::ThreadPool> owned_pool;
   linalg::ThreadPool* pool = linalg::ResolveSolvePool(
@@ -884,7 +880,7 @@ Result<SparseSinkhornResult> RunSinkhornSparse(
   if (ShouldAnneal(options, warm_u, warm_v)) {
     OTCLEAN_ASSIGN_OR_RETURN(
         anneal, RunSinkhornAnnealed(cost, p, q, options, /*sparse=*/true,
-                                    kernel_cutoff, pool));
+                                    kernel_cutoff, pool, ctx));
     warm_u = &anneal.u;
     warm_v = &anneal.v;
   }
@@ -900,13 +896,13 @@ Result<SparseSinkhornResult> RunSinkhornSparse(
                   *session.Acquire<linalg::BasicSparseLogTransportKernel<T>>(
                       options.num_threads, pool, cost, options.epsilon,
                       kernel_cutoff),
-                  cost, p, q, q_check, options, warm_u, warm_v, session);
+                  cost, p, q, q_check, options, warm_u, warm_v, session, ctx);
             }
             return SolveSparse(
                 *session.Acquire<linalg::BasicSparseTransportKernel<T>>(
                     options.num_threads, pool, cost, options.epsilon,
                     kernel_cutoff),
-                cost, p, q, q_check, options, warm_u, warm_v, session);
+                cost, p, q, q_check, options, warm_u, warm_v, session, ctx);
           }));
   result.anneal_stages = std::move(anneal.stages);
   return result;
@@ -916,9 +912,9 @@ Result<SparseSinkhornResult> RunSinkhornSparse(
     const linalg::Matrix& cost, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& options,
     double kernel_cutoff, const linalg::Vector* warm_u,
-    const linalg::Vector* warm_v) {
+    const linalg::Vector* warm_v, const ExecContext& ctx) {
   return RunSinkhornSparse(linalg::MatrixCostProvider(cost), p, q, options,
-                           kernel_cutoff, warm_u, warm_v);
+                           kernel_cutoff, warm_u, warm_v, ctx);
 }
 
 }  // namespace otclean::ot

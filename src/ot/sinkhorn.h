@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/cancellation.h"
+#include "common/exec_context.h"
 #include "common/result.h"
 #include "linalg/log_transport_kernel.h"
 #include "linalg/matrix.h"
@@ -96,7 +96,7 @@ struct SinkhornOptions {
   /// RepairScheduler's executors) — pass one shared pool: ThreadPool
   /// accepts any number of concurrent dispatchers, and per-solve chunk
   /// decompositions never depend on what else shares the pool.
-  /// Pooled, spawned, and serial runs are bit-identical. Honored by RunSinkhorn /
+  /// Pooled and serial runs are bit-identical. Honored by RunSinkhorn /
   /// RunSinkhornSparse, which build the kernel; RunSinkhornScaling ignores
   /// it — there the pool binds at kernel construction, so pass it to the
   /// TransportKernel constructor instead.
@@ -143,17 +143,6 @@ struct SinkhornOptions {
   /// from the f64 tier's by the kernel rounding (relative entry error
   /// ≤ 2⁻²⁴). Support costs and all outputs stay double.
   linalg::Precision precision = linalg::Precision::kFloat64;
-  /// Optional cooperative cancellation (common/cancellation.h; borrowed,
-  /// must outlive the solve). Checked once per engine-loop iteration, per
-  /// ε-annealing stage, and — through the ThreadPool stop flag — between
-  /// chunk executions of pooled kernel dispatches, so a fired token drains
-  /// even a large dispatch promptly. A firing aborts the solve with
-  /// kCancelled; checks never alter what an unaborted solve computes.
-  const CancellationToken* cancel_token = nullptr;
-  /// Optional monotonic wall deadline, polled at the same iteration /
-  /// stage granularity; expiry aborts with kDeadlineExceeded. Infinite by
-  /// default. Compose caller and scheduler budgets with Deadline::Earliest.
-  Deadline deadline;
 };
 
 /// Output of a Sinkhorn run.
@@ -186,11 +175,17 @@ struct SinkhornScaling {
 /// kernel once and reuse it across solves (e.g. warm-started outer
 /// loops). Errors on marginal / kernel dimension mismatch and on
 /// negative or non-finite marginal entries.
+///
+/// Every entry point in this header takes the request's ExecContext last:
+/// its token and deadline are checked once per engine-loop iteration and
+/// per ε-annealing stage, and the token also drains pooled kernel
+/// dispatches between chunks. A stop aborts with kCancelled /
+/// kDeadlineExceeded; checks never alter what an unstopped solve computes.
 Result<SinkhornScaling> RunSinkhornScaling(
     const linalg::TransportKernel& kernel, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& options,
     const linalg::Vector* warm_u = nullptr,
-    const linalg::Vector* warm_v = nullptr);
+    const linalg::Vector* warm_v = nullptr, const ExecContext& ctx = {});
 
 /// Log-potentials + convergence stats of a log-domain engine run, before
 /// any plan materialization. −inf marks "no mass" (the linear u_i = 0).
@@ -214,7 +209,7 @@ Result<SinkhornLogScaling> RunSinkhornLogScaling(
     const linalg::LogTransportKernel& kernel, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& options,
     const linalg::Vector* warm_lu = nullptr,
-    const linalg::Vector* warm_lv = nullptr);
+    const linalg::Vector* warm_lv = nullptr, const ExecContext& ctx = {});
 
 /// Runs Sinkhorn matrix scaling between marginals `p` (rows) and `q`
 /// (columns) under cost matrix `cost`, on a dense kernel (log-domain mode
@@ -232,7 +227,8 @@ Result<SinkhornResult> RunSinkhorn(const linalg::Matrix& cost,
                                    const linalg::Vector& q,
                                    const SinkhornOptions& options,
                                    const linalg::Vector* warm_u = nullptr,
-                                   const linalg::Vector* warm_v = nullptr);
+                                   const linalg::Vector* warm_v = nullptr,
+                                   const ExecContext& ctx = {});
 
 /// Entropy H(π) = −Σ π log π of a plan (0·log 0 := 0).
 double PlanEntropy(const linalg::Matrix& plan);
@@ -279,13 +275,13 @@ Result<SparseSinkhornResult> RunSinkhornSparse(
     const linalg::CostProvider& cost, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& options,
     double kernel_cutoff, const linalg::Vector* warm_u = nullptr,
-    const linalg::Vector* warm_v = nullptr);
+    const linalg::Vector* warm_v = nullptr, const ExecContext& ctx = {});
 
 Result<SparseSinkhornResult> RunSinkhornSparse(
     const linalg::Matrix& cost, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& options,
     double kernel_cutoff, const linalg::Vector* warm_u = nullptr,
-    const linalg::Vector* warm_v = nullptr);
+    const linalg::Vector* warm_v = nullptr, const ExecContext& ctx = {});
 
 /// Rejects NaN/±inf cost entries with a row/col-indexed InvalidArgument
 /// (finite-cost validation of RunSinkhorn/RunSinkhornSparse, exposed for
@@ -340,7 +336,7 @@ Result<EpsilonAnnealWarmStart> RunSinkhornAnnealed(
     const linalg::CostProvider& cost, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& options,
     bool sparse = false, double cutoff = 0.0,
-    linalg::ThreadPool* pool = nullptr);
+    linalg::ThreadPool* pool = nullptr, const ExecContext& ctx = {});
 
 }  // namespace otclean::ot
 

@@ -1,4 +1,4 @@
-#include "common/cancellation.h"
+#include "common/exec_context.h"
 
 #include <gtest/gtest.h>
 
@@ -33,6 +33,10 @@ dataset::Table MakeViolatingTable(uint64_t seed, size_t rows = 400,
 
 CiConstraint XyGivenZ() { return CiConstraint({"x"}, {"y"}, {"z0"}); }
 
+constexpr Solver kAllSolvers[] = {Solver::kFastOtClean, Solver::kQclp,
+                                  Solver::kCapuchinIC, Solver::kCapuchinMF,
+                                  Solver::kCapMaxSat};
+
 /// A solve sized to run for minutes if nobody stops it: an 864-cell domain
 /// (the constraint spans all three z attrs) and tolerances no iterate will
 /// ever meet, so only the iteration budget — or a stop signal — ends it.
@@ -52,35 +56,53 @@ struct HeavySolve {
 
 // ------------------------------------------------------------- stop paths --
 
+// One context stops every solver family: FastOTClean, QCLP, and the
+// Capuchin and Cap(MS) baselines all poll the same token and deadline.
+
 TEST(CancellationTest, PreCancelledTokenAbortsBeforeAnyWork) {
   const dataset::Table table = MakeViolatingTable(30);
   CancellationToken token;
   token.Cancel();
-  RepairOptions opts;
-  opts.fast.cancel_token = &token;
-  const Result<RepairReport> r = RepairTable(table, XyGivenZ(), opts);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-  EXPECT_NE(r.status().message().find("cancelled"), std::string::npos);
+  ExecContext ctx;
+  ctx.cancel = &token;
+  for (const Solver solver : kAllSolvers) {
+    RepairOptions opts;
+    opts.solver = solver;
+    const Result<RepairReport> r =
+        RepairTable(table, XyGivenZ(), opts, /*cost=*/nullptr, ctx);
+    ASSERT_FALSE(r.ok()) << "solver " << static_cast<int>(solver);
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled)
+        << "solver " << static_cast<int>(solver);
+    EXPECT_NE(r.status().message().find("cancelled"), std::string::npos)
+        << "solver " << static_cast<int>(solver);
+  }
 }
 
 TEST(CancellationTest, PreExpiredDeadlineAbortsBeforeAnyWork) {
   const dataset::Table table = MakeViolatingTable(30);
-  RepairOptions opts;
-  opts.fast.deadline = Deadline::After(0.0);  // born expired
-  const Result<RepairReport> r = RepairTable(table, XyGivenZ(), opts);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  ExecContext ctx;
+  ctx.deadline = Deadline::After(0.0);  // born expired
+  for (const Solver solver : kAllSolvers) {
+    RepairOptions opts;
+    opts.solver = solver;
+    const Result<RepairReport> r =
+        RepairTable(table, XyGivenZ(), opts, /*cost=*/nullptr, ctx);
+    ASSERT_FALSE(r.ok()) << "solver " << static_cast<int>(solver);
+    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
+        << "solver " << static_cast<int>(solver);
+  }
 }
 
 TEST(CancellationTest, CrossThreadCancelStopsALargeSolvePromptly) {
   HeavySolve heavy;
   CancellationToken token;
-  heavy.options.fast.cancel_token = &token;
+  ExecContext ctx;
+  ctx.cancel = &token;
 
   Result<RepairReport> result = Status::Internal("never ran");
   std::thread solver([&] {
-    result = RepairTable(heavy.table, heavy.constraint, heavy.options);
+    result = RepairTable(heavy.table, heavy.constraint, heavy.options,
+                         /*cost=*/nullptr, ctx);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const Clock::time_point cancelled_at = Clock::now();
@@ -97,10 +119,11 @@ TEST(CancellationTest, CrossThreadCancelStopsALargeSolvePromptly) {
 
 TEST(CancellationTest, DeadlineExpiresMidSolveWithDeadlineExceeded) {
   HeavySolve heavy;
-  heavy.options.fast.deadline = Deadline::After(0.2);
+  ExecContext ctx;
+  ctx.deadline = Deadline::After(0.2);
   const Clock::time_point t0 = Clock::now();
-  const Result<RepairReport> r =
-      RepairTable(heavy.table, heavy.constraint, heavy.options);
+  const Result<RepairReport> r = RepairTable(
+      heavy.table, heavy.constraint, heavy.options, /*cost=*/nullptr, ctx);
   EXPECT_LT(SecondsSince(t0), 10.0);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
@@ -126,11 +149,14 @@ TEST(CancellationTest, MidSolveCancelLeavesTheCacheUncorrupted) {
   CancellationToken token;
   RepairOptions cancelled_opts = opts;
   cancelled_opts.fast.solve_cache = &cache;
-  cancelled_opts.fast.cancel_token = &token;
+  ExecContext ctx;
+  ctx.cancel = &token;
 
   Result<RepairReport> interrupted = Status::Internal("never ran");
-  std::thread solver(
-      [&] { interrupted = RepairTable(table, wide, cancelled_opts); });
+  std::thread solver([&] {
+    interrupted = RepairTable(table, wide, cancelled_opts, /*cost=*/nullptr,
+                              ctx);
+  });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   token.Cancel();
   solver.join();

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/cancellation.h"
+#include "common/exec_context.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -371,17 +372,20 @@ TEST(DeadlineTest, EarliestComposes) {
 
 TEST(CheckStopTest, OrdersCancelBeforeDeadlineAndNamesTheSite) {
   CancellationToken token;
-  EXPECT_TRUE(CheckStop(nullptr, Deadline::Infinite(), "here").ok());
-  EXPECT_TRUE(CheckStop(&token, Deadline::Infinite(), "here").ok());
+  EXPECT_TRUE(CheckStop(ExecContext{}, "here").ok());
+  EXPECT_TRUE(
+      CheckStop(ExecContext{&token, Deadline::Infinite()}, "here").ok());
 
-  const Status late = CheckStop(&token, Deadline::After(-1.0), "solve");
+  const Status late =
+      CheckStop(ExecContext{&token, Deadline::After(-1.0)}, "solve");
   EXPECT_EQ(late.code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(late.message().find("solve"), std::string::npos);
 
   token.Cancel();
   // Cancellation wins even when the deadline is also expired: the caller
   // asked to stop; blaming the deadline would misreport intent.
-  const Status both = CheckStop(&token, Deadline::After(-1.0), "solve");
+  const Status both =
+      CheckStop(ExecContext{&token, Deadline::After(-1.0)}, "solve");
   EXPECT_EQ(both.code(), StatusCode::kCancelled);
   EXPECT_NE(both.message().find("solve"), std::string::npos);
 }

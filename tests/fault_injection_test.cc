@@ -83,9 +83,9 @@ TEST(FaultInjectionTest, AllocFailureSurfacesAsResourceExhausted) {
   const dataset::Table table = MakeViolatingTable(41);
   FaultInjector inj;
   inj.Arm(FaultSite::kAlloc, 1);
-  RepairOptions opts;
-  opts.fast.fault_injector = &inj;
-  const Result<RepairReport> r = RepairTable(table, XyGivenZ(), opts);
+  const ExecContext ctx{nullptr, Deadline::Infinite(), &inj};
+  const Result<RepairReport> r =
+      RepairTable(table, XyGivenZ(), RepairOptions{}, /*cost=*/nullptr, ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(r.status().message().find("bad_alloc"), std::string::npos);
@@ -99,9 +99,10 @@ TEST(FaultInjectionTest, AllocFailureIsNotRetried) {
   FaultInjector inj;
   inj.Arm(FaultSite::kAlloc, 1, /*sticky=*/true);
   RepairOptions opts;
-  opts.fast.fault_injector = &inj;
   opts.retry.max_attempts = 3;
-  const Result<RepairReport> r = RepairTable(table, XyGivenZ(), opts);
+  const ExecContext ctx{nullptr, Deadline::Infinite(), &inj};
+  const Result<RepairReport> r =
+      RepairTable(table, XyGivenZ(), opts, /*cost=*/nullptr, ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(inj.hits(FaultSite::kAlloc), 1u);
@@ -111,9 +112,9 @@ TEST(FaultInjectionTest, KernelNanFailsCleanlyWithoutRetry) {
   const dataset::Table table = MakeViolatingTable(42);
   FaultInjector inj;
   inj.Arm(FaultSite::kKernelNan, 1);
-  RepairOptions opts;
-  opts.fast.fault_injector = &inj;
-  const Result<RepairReport> r = RepairTable(table, XyGivenZ(), opts);
+  const ExecContext ctx{nullptr, Deadline::Infinite(), &inj};
+  const Result<RepairReport> r =
+      RepairTable(table, XyGivenZ(), RepairOptions{}, /*cost=*/nullptr, ctx);
   // The dense linear path turns a NaN kernel entry into scalings that clamp
   // to zero and a plan with no mass — a clean Status, never a crash or a
   // silently wrong repair.
@@ -127,14 +128,15 @@ TEST(FaultInjectionTest, RetryRecoversFromTransientKernelNan) {
   FaultInjector inj;
   inj.Arm(FaultSite::kKernelNan, 1);  // transient: only the first build
   RepairOptions opts;
-  opts.fast.fault_injector = &inj;
   opts.retry.max_attempts = 2;
   // Loose enough that the fallback attempt actually converges (the default
   // 1e-8 outer tolerance never does on this table) — "retried-ok" is only
   // reported for a *converged* recovery.
   opts.fast.outer_tolerance = 1e-4;
   opts.fast.max_outer_iterations = 1000;
-  const Result<RepairReport> r = RepairTable(table, XyGivenZ(), opts);
+  const ExecContext ctx{nullptr, Deadline::Infinite(), &inj};
+  const Result<RepairReport> r =
+      RepairTable(table, XyGivenZ(), opts, /*cost=*/nullptr, ctx);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->converged);
   EXPECT_STREQ(r->termination, "retried-ok");
@@ -145,7 +147,6 @@ TEST(FaultInjectionTest, RetryRecoversFromTransientKernelNan) {
   // The recovered repair equals a straight log-domain run: the fallback
   // reconfigures, it never perturbs.
   RepairOptions log_opts = opts;
-  log_opts.fast.fault_injector = nullptr;
   log_opts.retry = RetryOptions{};
   log_opts.fast.log_domain = true;
   const Result<RepairReport> direct = RepairTable(table, XyGivenZ(), log_opts);
@@ -221,15 +222,15 @@ TEST(FaultInjectionTest, PoisonedSolveNeverPublishesToTheCache) {
   inj.Arm(FaultSite::kKernelNan, 1);
   RepairOptions opts;
   opts.fast.solve_cache = &cache;
-  opts.fast.fault_injector = &inj;
-  const Result<RepairReport> poisoned = RepairTable(table, XyGivenZ(), opts);
+  const ExecContext ctx{nullptr, Deadline::Infinite(), &inj};
+  const Result<RepairReport> poisoned =
+      RepairTable(table, XyGivenZ(), opts, /*cost=*/nullptr, ctx);
   EXPECT_FALSE(poisoned.ok());
   const SolveCacheStats s = cache.Stats();
   EXPECT_EQ(s.insertions, 0u);
   EXPECT_EQ(s.entries, 0u);
 
   // The clean follow-up populates the cache and repairs normally.
-  opts.fast.fault_injector = nullptr;
   const Result<RepairReport> clean = RepairTable(table, XyGivenZ(), opts);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   EXPECT_EQ(cache.Stats().insertions, 1u);
@@ -282,8 +283,10 @@ TEST(FaultInjectionTest, WorkerDelayPlusTightDeadlineExpiresCleanly) {
   RepairOptions opts;
   opts.fast.num_threads = 2;
   opts.fast.thread_pool = &pool;
-  opts.fast.deadline = Deadline::After(0.05);
-  const Result<RepairReport> r = RepairTable(table, XyGivenZ(), opts);
+  ExecContext ctx;
+  ctx.deadline = Deadline::After(0.05);
+  const Result<RepairReport> r =
+      RepairTable(table, XyGivenZ(), opts, /*cost=*/nullptr, ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
 }
@@ -317,28 +320,6 @@ TEST(FaultInjectionTest, SchedulerInjectsItsHarnessIntoJobs) {
     }
   }
   EXPECT_EQ(exhausted, 1u);
-}
-
-TEST(FaultInjectionTest, SchedulerRejectsConflictingJobHarness) {
-  const dataset::Table table = MakeViolatingTable(46);
-  FaultInjector scheduler_inj;
-  FaultInjector job_inj;
-  RepairSchedulerOptions sched;
-  sched.max_concurrent_jobs = 1;
-  sched.pool_threads = 1;
-  sched.fault_injector = &scheduler_inj;
-  RepairScheduler scheduler(sched);
-
-  RepairJob job;
-  job.table = &table;
-  job.constraints = {XyGivenZ()};
-  job.options.fast.fault_injector = &job_inj;
-  const BatchReport report = scheduler.Run({job});
-  ASSERT_EQ(report.jobs.size(), 1u);
-  ASSERT_FALSE(report.jobs[0].ok());
-  EXPECT_EQ(report.jobs[0].status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(report.jobs[0].status().message().find("fault_injector"),
-            std::string::npos);
 }
 
 }  // namespace

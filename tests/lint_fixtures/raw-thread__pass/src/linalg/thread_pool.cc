@@ -1,5 +1,5 @@
-// Fixture: std::thread inside src/linalg/ is the one allowed home — the
-// ThreadPool owns its workers here.
+// Fixture: src/linalg/thread_pool.{h,cc} is the one allowed home of
+// std::thread — the ThreadPool owns its workers here.
 #include <thread>
 #include <vector>
 

@@ -3,7 +3,7 @@
 #include <atomic>
 #include <vector>
 
-#include "common/cancellation.h"
+#include "common/exec_context.h"
 #include "common/random.h"
 #include "lp/network_simplex.h"
 #include "lp/transport_lp.h"
@@ -265,9 +265,10 @@ TEST(NetworkSimplexStreamTest, CancelMidSolveLeavesNoPartialState) {
   CancellationToken token;
   CountingCostProvider cancelling_cost(m, n);
   cancelling_cost.ArmCancel(&token, 2000);
-  NetworkSimplexOptions opts;
-  opts.cancel_token = &token;
-  const auto aborted = SolveTransportNetwork(cancelling_cost, p, q, opts);
+  ExecContext ctx;
+  ctx.cancel = &token;
+  const auto aborted = SolveTransportNetwork(
+      cancelling_cost, p, q, NetworkSimplexOptions{}, /*mass_tol=*/1e-6, ctx);
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(aborted.status().code(), StatusCode::kCancelled);
   EXPECT_GE(cancelling_cost.calls(), 2000u);
@@ -290,9 +291,10 @@ TEST(NetworkSimplexStreamTest, ExpiredDeadlineAbortsBeforeAnyPivot) {
   CountingCostProvider cost(4, 4);
   const linalg::Vector p = RandomMarginal(4, 31);
   const linalg::Vector q = RandomMarginal(4, 32);
-  NetworkSimplexOptions opts;
-  opts.deadline = Deadline::After(-1.0);
-  const auto r = SolveTransportNetwork(cost, p, q, opts);
+  ExecContext ctx;
+  ctx.deadline = Deadline::After(-1.0);
+  const auto r = SolveTransportNetwork(cost, p, q, NetworkSimplexOptions{},
+                                       /*mass_tol=*/1e-6, ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
 }

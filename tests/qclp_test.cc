@@ -176,9 +176,9 @@ TEST(QclpTest, PreCancelledTokenAbortsWithCancelled) {
   ot::EuclideanCost cost(3);
   CancellationToken token;
   token.Cancel();
-  QclpOptions opts;
-  opts.cancel_token = &token;
-  const auto r = QclpClean(p, ci, cost, opts);
+  ExecContext ctx;
+  ctx.cancel = &token;
+  const auto r = QclpClean(p, ci, cost, QclpOptions{}, ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
@@ -187,9 +187,9 @@ TEST(QclpTest, ExpiredDeadlineAbortsWithDeadlineExceeded) {
   const auto p = MakeD2();
   const CiSpec ci{{1}, {2}, {0}};
   ot::EuclideanCost cost(3);
-  QclpOptions opts;
-  opts.deadline = Deadline::After(-1.0);
-  const auto r = QclpClean(p, ci, cost, opts);
+  ExecContext ctx;
+  ctx.deadline = Deadline::After(-1.0);
+  const auto r = QclpClean(p, ci, cost, QclpOptions{}, ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
 }

@@ -449,25 +449,10 @@ TEST(RepairSchedulerLifecycleTest, JobSuppliedStopStateIsRejectedLoudly) {
   base.table = &t1;
   base.constraints = {XyGivenZ()};
 
-  CancellationToken token;
-  RepairJob with_token = base;
-  with_token.options.fast.cancel_token = &token;
-  Result<JobTicket> r = scheduler.Submit(with_token);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("cancel_token"), std::string::npos);
-
-  RepairJob with_deadline = base;
-  with_deadline.options.fast.deadline = Deadline::After(5.0);
-  r = scheduler.Submit(with_deadline);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("deadline_seconds"), std::string::npos);
-
   for (double bad : {0.0, -1.0}) {
     RepairJob with_bad_seconds = base;
     with_bad_seconds.deadline_seconds = bad;
-    r = scheduler.Submit(with_bad_seconds);
+    const Result<JobTicket> r = scheduler.Submit(with_bad_seconds);
     ASSERT_FALSE(r.ok()) << bad;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
   }
@@ -475,7 +460,7 @@ TEST(RepairSchedulerLifecycleTest, JobSuppliedStopStateIsRejectedLoudly) {
   RepairSchedulerOptions bad_default;
   bad_default.default_deadline_seconds = -2.0;
   RepairScheduler bad_scheduler(bad_default);
-  r = bad_scheduler.Submit(base);
+  const Result<JobTicket> r = bad_scheduler.Submit(base);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("default_deadline_seconds"),
@@ -605,31 +590,6 @@ TEST(RepairSchedulerSolverMatrixTest, QclpJobsHonorCancelAndFairnessJobsHonorDea
   const Result<RepairReport> deadlined = scheduler.Wait(*queued);
   ASSERT_FALSE(deadlined.ok());
   EXPECT_EQ(deadlined.status().code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST(RepairSchedulerSolverMatrixTest, JobSuppliedQclpOrFairnessStopStateIsRejected) {
-  const auto table = MakeViolatingTable(63);
-  RepairScheduler scheduler;
-  RepairJob base;
-  base.table = &table;
-  base.constraints = {XyGivenZ()};
-
-  CancellationToken token;
-  RepairJob qclp_token = base;
-  qclp_token.options.solver = Solver::kQclp;
-  qclp_token.options.qclp.cancel_token = &token;
-  Result<JobTicket> r = scheduler.Submit(qclp_token);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("cancel_token"), std::string::npos);
-
-  RepairJob fairness_deadline = base;
-  fairness_deadline.options.solver = Solver::kCapuchinIC;
-  fairness_deadline.options.fairness.deadline = Deadline::After(1.0);
-  r = scheduler.Submit(fairness_deadline);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("deadline"), std::string::npos);
 }
 
 }  // namespace

@@ -171,5 +171,23 @@ TEST(RepairTest, UnknownConstraintColumnFails) {
   EXPECT_FALSE(RepairTable(table, bad).ok());
 }
 
+TEST(RepairTest, UnconvergedRepairReportsIterationCap) {
+  // One outer step never meets the default 1e-8 outer tolerance: the repair
+  // returns a plan but must say it stopped at the cap, never "ok" — with
+  // retries off, and after every fallback attempt also fails to converge.
+  const auto table = MakeViolatingTable(300);
+  for (const size_t attempts : {size_t{1}, size_t{3}}) {
+    RepairOptions opts;
+    opts.fast.max_outer_iterations = 1;
+    opts.retry.max_attempts = attempts;
+    const Result<RepairReport> report = RepairTable(table, XyGivenZ(), opts);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_FALSE(report->converged) << "attempts " << attempts;
+    EXPECT_STREQ(report->termination, "iteration-cap")
+        << "attempts " << attempts;
+    EXPECT_EQ(report->retry_attempts, attempts - 1);
+  }
+}
+
 }  // namespace
 }  // namespace otclean::core

@@ -30,8 +30,7 @@ TEST(SolveCacheKeyTest, ZeroFingerprintYieldsInvalidKey) {
   EXPECT_FALSE(cache.FindKernel(key).has_value());
   cache.InsertKernel(key,
                      CachedKernel{std::make_shared<linalg::Matrix>(2, 2, 1.0),
-                                  nullptr, nullptr, nullptr, nullptr,
-                                  nullptr});
+                                  nullptr, nullptr});
   EXPECT_FALSE(cache.FindWarmStart(key).has_value());
   SolveCacheStats s = cache.Stats();
   EXPECT_EQ(s.kernel_hits, 0u);
@@ -75,8 +74,7 @@ TEST(SolveCacheKeyTest, EqualityChecksVerbatimFieldsNotJustTheHash) {
   SolveCache cache;
   cache.InsertKernel(a,
                      CachedKernel{std::make_shared<linalg::Matrix>(4, 4, 1.0),
-                                  nullptr, nullptr, nullptr, nullptr,
-                                  nullptr});
+                                  nullptr, nullptr});
   EXPECT_FALSE(cache.FindKernel(b).has_value());
   EXPECT_TRUE(cache.FindKernel(a).has_value());
 }
@@ -86,7 +84,7 @@ TEST(SolveCacheKeyTest, EqualityChecksVerbatimFieldsNotJustTheHash) {
 
 CachedKernel MakeDenseEntry(double fill) {
   return CachedKernel{std::make_shared<linalg::Matrix>(100, 100, fill), nullptr,
-                      nullptr, nullptr, nullptr, nullptr};
+                      nullptr};
 }
 
 constexpr size_t kEntryBytes = 100 * 100 * sizeof(double);
@@ -144,9 +142,10 @@ TEST(SolveCacheLruTest, InsertRaceSharesTheResidentKernel) {
   // A second insert under the same key (the losing thread of a build race)
   // gets the resident storage back, not its own copy.
   CachedKernel second = cache.InsertKernel(TestKey(7), MakeDenseEntry(99.0));
-  EXPECT_EQ(first.dense.get(), second.dense.get());
+  EXPECT_EQ(first.As<linalg::Matrix>().get(),
+            second.As<linalg::Matrix>().get());
   EXPECT_EQ(cache.Stats().insertions, 1u);
-  EXPECT_EQ((*second.dense)(0, 0), 1.0);
+  EXPECT_EQ((*second.As<linalg::Matrix>())(0, 0), 1.0);
 }
 
 TEST(SolveCacheLruTest, WarmStoreKeepsFirstColdBaseline) {

@@ -82,6 +82,8 @@ TEST(ThreadPoolTest, PooledKernelPrimitivesBitIdenticalToSpawned) {
   const Vector u = RandomMarginal(m, 42);
   const Vector v = RandomMarginal(n, 43);
 
+  // Without a pool the kernel runs the same 3-way chunk decomposition
+  // serially on the calling thread.
   const DenseTransportKernel spawned(cost.GibbsKernel(0.3), 3);
   ThreadPool pool(3);
   const DenseTransportKernel pooled(cost.GibbsKernel(0.3), 3, &pool);

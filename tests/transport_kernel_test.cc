@@ -6,7 +6,6 @@
 
 #include "common/random.h"
 #include "linalg/cost_provider.h"
-#include "linalg/parallel_for.h"
 #include "ot/cost.h"
 #include "ot/sinkhorn.h"
 #include "prob/domain.h"
@@ -356,36 +355,6 @@ TEST(UnifiedSinkhornTest, ScalingEntryPointMatchesWrapper) {
   // Mis-sized marginals must error, not read out of bounds.
   EXPECT_FALSE(ot::RunSinkhornScaling(kernel, Vector(3), q, opts).ok());
   EXPECT_FALSE(ot::RunSinkhornScaling(kernel, p, Vector(3), opts).ok());
-}
-
-// ------------------------------------------------------- ParallelFor ------
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  for (size_t threads : {1, 2, 7}) {
-    std::vector<int> hits(1000, 0);
-    ParallelFor(
-        hits.size(), threads,
-        [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) ++hits[i];
-        },
-        /*grain=*/1);
-    for (int h : hits) EXPECT_EQ(h, 1);
-  }
-}
-
-TEST(ParallelForTest, BlockedReduceIsThreadCountInvariant) {
-  std::vector<double> values(10000);
-  Rng rng(99);
-  for (double& v : values) v = rng.NextDouble() - 0.5;
-  auto block_sum = [&](size_t begin, size_t end) {
-    double s = 0.0;
-    for (size_t i = begin; i < end; ++i) s += values[i];
-    return s;
-  };
-  const double serial = BlockedReduce(values.size(), 1, block_sum);
-  for (size_t threads : {2, 3, 8}) {
-    EXPECT_EQ(BlockedReduce(values.size(), threads, block_sum), serial);
-  }
 }
 
 }  // namespace

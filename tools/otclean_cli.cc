@@ -363,8 +363,9 @@ void PrintReport(const core::CiConstraint& constraint,
 }
 
 /// The per-job status cell of the batch summary: ok jobs report their
-/// RepairReport termination ("ok" / "retried-ok"), failures name the two
-/// robustness outcomes and lump the rest as FAILED (the Status follows).
+/// RepairReport termination ("ok" / "retried-ok" / "iteration-cap"),
+/// failures name the two robustness outcomes and lump the rest as FAILED
+/// (the Status follows).
 const char* TerminationLabel(const Result<core::RepairReport>& r) {
   if (r.ok()) return r->termination;
   switch (r.status().code()) {
@@ -545,20 +546,20 @@ int RunBatch(const CliArgs& args, const std::string& manifest_path,
   const core::BatchReport report = scheduler.Run(jobs);
 
   bool ok = true;
-  std::printf("%-4s %-36s %-11s %-20s %-10s\n", "job", "label", "status",
+  std::printf("%-4s %-36s %-13s %-20s %-10s\n", "job", "label", "status",
               "cmi", "cost");
   for (size_t i = 0; i < jobs.size(); ++i) {
     const Result<core::RepairReport>& r = report.jobs[i];
     if (!r.ok()) {
       ok = false;
-      std::printf("%-4zu %-36s %-11s %s\n", i, jobs[i].name.c_str(),
+      std::printf("%-4zu %-36s %-13s %s\n", i, jobs[i].name.c_str(),
                   TerminationLabel(r), r.status().ToString().c_str());
       continue;
     }
     char cmi[32];
     std::snprintf(cmi, sizeof cmi, "%.4f -> %.4f", r->initial_cmi,
                   r->final_cmi);
-    std::printf("%-4zu %-36s %-11s %-20s %-10.4f\n", i, jobs[i].name.c_str(),
+    std::printf("%-4zu %-36s %-13s %-20s %-10.4f\n", i, jobs[i].name.c_str(),
                 TerminationLabel(r), cmi, r->transport_cost);
     if (args.report) PrintReport(jobs[i].constraints.front(), *r);
     if (!outputs[i].empty()) {
@@ -657,17 +658,14 @@ int main(int argc, char** argv) {
   if (!options.ok()) return Fail(options.status().ToString());
   auto deadline_ms = ParseDeadlineMillis(kv);
   if (!deadline_ms.ok()) return Fail(deadline_ms.status().ToString());
-  if (*deadline_ms > 0) {
-    // One deadline, every solver family: whichever path --solver picked
-    // polls the same budget.
-    const Deadline deadline = Deadline::AfterMillis(*deadline_ms);
-    options->fast.deadline = deadline;
-    options->qclp.deadline = deadline;
-    options->fairness.deadline = deadline;
-  }
-  options->fast.fault_injector = faults;
+  // One context, every solver family: whichever path --solver picked polls
+  // the same deadline and consults the same fault harness.
+  ExecContext ctx;
+  if (*deadline_ms > 0) ctx.deadline = Deadline::AfterMillis(*deadline_ms);
+  ctx.faults = faults;
 
-  const auto report = core::RepairTable(*table, *constraint, *options);
+  const auto report =
+      core::RepairTable(*table, *constraint, *options, /*cost=*/nullptr, ctx);
   if (!report.ok()) return Fail(report.status().ToString());
 
   if (args.report) PrintReport(*constraint, *report);
