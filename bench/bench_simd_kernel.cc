@@ -1,13 +1,15 @@
 // Scalar-vs-SIMD bench for the TransportKernel primitives: dense Apply /
-// ApplyTranspose, sparse (CSR gather) Apply, ScaleToPlan, and the
-// TransportCost reduction, at 256²–4096², single thread.
+// ApplyTranspose, sparse (CSR gather) Apply, ScaleToPlan, the
+// TransportCost reduction, and the relaxed Sinkhorn scaling step, at
+// 256²–4096², single thread.
 //
 // Timing compares the scalar reference tier against the widest tier the
 // CPU supports, through the real kernel objects. Cross-checking covers
 // EVERY supported vector tier (not just the widest): each op's output is
 // validated against scalar under avx2, avx512, and/or neon as available,
 // so a CI runner without AVX-512 still exercises and validates whatever
-// tiers it has — and the output says which. A mismatch fails the run.
+// tiers it has — and the output says which. A mismatch fails the run
+// (the scaling step must match bit for bit, the reductions within ULPs).
 // Results are printed as a table and written to BENCH_simd_kernel.json so
 // the repo's perf trajectory has machine-readable data points.
 //
@@ -64,6 +66,14 @@ double BestOfMs(Fn&& fn, int reps) {
     best = std::min(best, timer.ElapsedSeconds() * 1e3);
   }
   return best;
+}
+
+bool BitIdentical(const linalg::Vector& a, const linalg::Vector& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
 }
 
 bool UlpAgree(const linalg::Vector& a, const linalg::Vector& b, size_t n) {
@@ -172,9 +182,19 @@ int main(int argc, char** argv) {
         linalg::SparseTransportKernelF32::FromCost(cost, 0.5, 0.032,
                                                    /*num_threads=*/1);
 
+    // The relaxed Sinkhorn scaling step (exponent λ/(λ+ε) at the default
+    // λ = 50, ε = 0.05) on one half-update's worth of inputs: ratio of a
+    // marginal to K·v, raised, clamped, and max-changed against v. Its
+    // lanes must match scalar bit for bit (simd.h), the returned
+    // max-change included — it rides as the last output element.
+    linalg::Vector kv;
+    dense.Apply(v, kv);
+    const double relaxed_exponent = 50.0 / 50.05;
+
     struct Op {
       const char* name;
       std::function<void(linalg::Vector&)> run;
+      bool exact = false;  // bit-identical across tiers, not just ULP-close
     };
     const std::vector<Op> ops = {
         {"dense_apply", [&](linalg::Vector& y) { dense.Apply(v, y); }},
@@ -207,6 +227,18 @@ int main(int argc, char** argv) {
          [&](linalg::Vector& y) {
            y = linalg::Vector(1, sparse_f32.TransportCost(cost, u, v));
          }},
+        {"relaxed_scale",
+         [&](linalg::Vector& y) {
+           y = linalg::Vector(n + 1);
+           y[n] = linalg::simd::RelaxedScaling(
+               u.data().data(), kv.data().data(), relaxed_exponent,
+               v.data().data(), y.data().data(), n);
+         },
+         /*exact=*/true},
+    };
+    const auto agree = [&](const Op& op, const linalg::Vector& got,
+                           const linalg::Vector& ref) {
+      return op.exact ? BitIdentical(got, ref) : UlpAgree(got, ref, n);
     };
 
     double scalar_iter_ms = 0.0, simd_iter_ms = 0.0;
@@ -219,7 +251,7 @@ int main(int argc, char** argv) {
       r.scalar_ms = BestOfMs([&] { op.run(scalar_out); }, reps);
       linalg::simd::SetIsa(best);
       r.simd_ms = BestOfMs([&] { op.run(simd_out); }, reps);
-      if (!UlpAgree(simd_out, scalar_out, n)) {
+      if (!agree(op, simd_out, scalar_out)) {
         std::printf("!! %s at %zu: scalar/simd mismatch\n", op.name, n);
         checks_ok = false;
       }
@@ -230,7 +262,7 @@ int main(int argc, char** argv) {
         linalg::simd::SetIsa(isa);
         linalg::Vector tier_out;
         op.run(tier_out);
-        if (!UlpAgree(tier_out, scalar_out, n)) {
+        if (!agree(op, tier_out, scalar_out)) {
           std::printf("!! %s at %zu: scalar/%s mismatch\n", op.name, n,
                       linalg::simd::IsaName(isa));
           checks_ok = false;

@@ -1,5 +1,6 @@
 #include "core/fast_otclean.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <functional>
@@ -574,7 +575,15 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
   if (options.ci_strength < 0.0 || options.ci_strength > 1.0) {
     return invalid("ci_strength must be in [0,1]");
   }
-  if (options.epsilon <= 0.0) return invalid("epsilon must be positive");
+  // NaN passes a plain `<= 0` test; each would otherwise surface only as
+  // "plan lost all mass" (which retries treat as retryable) or, for
+  // λ = 0, as a silent identity repair.
+  if (!(options.epsilon > 0.0) || !std::isfinite(options.epsilon)) {
+    return invalid("epsilon must be a positive finite number");
+  }
+  if (!(options.lambda > 0.0) || !std::isfinite(options.lambda)) {
+    return invalid("lambda must be a positive finite number");
+  }
   if (options.max_outer_iterations == 0) {
     return invalid("max_outer_iterations must be > 0");
   }
@@ -671,6 +680,15 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
 
   for (size_t outer = 0; outer < options.max_outer_iterations; ++outer) {
     OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, where));
+    // Inexact inner solves: while Q still moves by δ per outer step, a
+    // potential change far below δ buys nothing — the next projection
+    // moves the target again. Each solve runs to 0.1 × the previous outer
+    // step's TV delta, never below sinkhorn_tolerance (the first solve,
+    // with no delta yet, runs at the floor).
+    if (outer > 0) {
+      sink.tolerance =
+          std::max(options.sinkhorn_tolerance, 0.1 * result.final_outer_delta);
+    }
     // --- Outer step A: transport plan against the current Q (Sinkhorn). ---
     linalg::Vector q_cols(col_cells.size());
     for (size_t j = 0; j < col_cells.size(); ++j) q_cols[j] = q[col_cells[j]];
@@ -685,6 +703,8 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
     warm_u = std::move(sr.u);
     warm_v = std::move(sr.v);
     result.total_sinkhorn_iterations += sr.iterations;
+    result.final_inner_tolerance = sink.tolerance;
+    if (!sr.converged) ++result.capped_inner_solves;
     result.objective_trace.push_back(kernel->TransportCost(warm_u, warm_v));
 
     // --- Outer step B: project the plan's target marginal back onto the
@@ -712,6 +732,7 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
     const double delta = q.TotalVariation(q_proj);
     q = std::move(q_proj);
     result.outer_iterations = outer + 1;
+    result.final_outer_delta = delta;
     if (delta <= options.outer_tolerance) {
       result.converged = true;
       break;

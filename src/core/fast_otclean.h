@@ -34,6 +34,12 @@ struct FastOtCleanOptions {
   double outer_tolerance = 1e-8;
   /// Sinkhorn sub-solver budget per outer step.
   size_t max_sinkhorn_iterations = 5000;
+  /// Floor of the inner Sinkhorn tolerance. Inner solves are inexact: the
+  /// first runs at this tolerance, and each later one at
+  /// max(sinkhorn_tolerance, 0.1 × the previous outer step's TV delta of
+  /// Q) — no inner solve is driven far below the distance the next CI
+  /// projection moves its target anyway. Near outer convergence the rule
+  /// bottoms out here.
   double sinkhorn_tolerance = 1e-9;
   /// Section 5: reuse scaling vectors across outer steps.
   bool warm_start = true;
@@ -129,6 +135,14 @@ struct FastOtCleanResult {
   /// Total inner Sinkhorn iterations across all outer steps (Fig. 11b).
   size_t total_sinkhorn_iterations = 0;
   bool converged = false;
+  /// Inner solves that stopped at max_sinkhorn_iterations before meeting
+  /// their tolerance (0 when every inner solve converged).
+  size_t capped_inner_solves = 0;
+  /// TV change of Q at the last outer step (the quantity compared against
+  /// outer_tolerance).
+  double final_outer_delta = 0.0;
+  /// Tolerance the last inner solve ran at (see sinkhorn_tolerance).
+  double final_inner_tolerance = 0.0;
   /// CMI of the target w.r.t. the constraint (should be ~0).
   double target_cmi = 0.0;
   /// Final transport cost ⟨C, π⟩.

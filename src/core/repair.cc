@@ -37,6 +37,9 @@ void PopulateFastSolveReport(const FastOtCleanResult& r,
   report.outer_iterations = r.outer_iterations;
   report.total_sinkhorn_iterations = r.total_sinkhorn_iterations;
   report.converged = r.converged;
+  report.capped_inner_solves = r.capped_inner_solves;
+  report.final_outer_delta = r.final_outer_delta;
+  report.final_inner_tolerance = r.final_inner_tolerance;
   report.kernel_nnz = r.kernel_nnz;
   report.sinkhorn_domain = fast.log_domain ? "log" : "linear";
   report.precision = linalg::PrecisionName(fast.precision);

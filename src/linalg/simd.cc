@@ -10,6 +10,7 @@
 #include "linalg/simd.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -302,6 +303,19 @@ OTCLEAN_NOVEC void ScalarAddExpWriteF32(double shift, const float* a,
   }
 }
 
+OTCLEAN_NOVEC double ScalarRelaxedScaling(const double* marginal,
+                                          const double* denom,
+                                          double exponent, const double* prev,
+                                          double* out, size_t n) {
+  double delta = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = RelaxedScale(marginal[i], denom[i], exponent);
+    const double d = std::fabs(out[i] - prev[i]);
+    if (d > delta) delta = d;
+  }
+  return delta;
+}
+
 #undef OTCLEAN_NOVEC
 
 /// True when the running CPU can execute `isa` (independent of whether the
@@ -419,6 +433,7 @@ const SimdOps* GetScalarOps() {
     o.add_max_accumulate = ScalarAddMaxAccumulate;
     o.add_exp_sum_accumulate = ScalarAddExpSumAccumulate;
     o.add_exp_write = ScalarAddExpWrite;
+    o.relaxed_scaling = ScalarRelaxedScaling;
     o.dot_f32 = ScalarDotF32;
     o.dot3_f32 = ScalarDot3F32;
     o.gather_dot_f32 = ScalarGatherDotF32;
@@ -577,6 +592,12 @@ void AddExpSumAccumulate(double c, const double* a, const double* shift,
 void AddExpWrite(double shift, const double* a, const double* b, double* out,
                  size_t n) {
   Active().add_exp_write(shift, a, b, out, n);
+}
+
+double RelaxedScaling(const double* marginal, const double* denom,
+                      double exponent, const double* prev, double* out,
+                      size_t n) {
+  return Active().relaxed_scaling(marginal, denom, exponent, prev, out, n);
 }
 
 double DotF32(const float* a, const double* b, size_t n) {

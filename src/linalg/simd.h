@@ -187,6 +187,23 @@ void ScaledHadamard(double s, const double* a, const double* b, double* out,
 void GatherScaledHadamard(double s, const double* vals, const size_t* idx,
                           const double* x, double* out, size_t n);
 
+// ------------------------------------------------ Sinkhorn scaling step --
+
+/// The linear-domain Sinkhorn half-update with its convergence check fused
+/// in: out[i] = RelaxedScale(marginal[i], denom[i], exponent) — the ratio
+/// marginal/denom (0 where denom == 0) raised to `exponent` and clamped
+/// (simd_exp.h) — and the return value is max_i |out[i] − prev[i]|, the
+/// change against the previous potential (NaN differences ignored, as
+/// Vector::NormInf does). `exponent` == 1 (classic mode) keeps the exact
+/// quotient; otherwise s^e is PolyExp(e·PolyLog(s)), and zero, NaN,
+/// negative and subnormal ratios give exactly 0. Results above 1e150
+/// clamp to 1e150. Per-element arithmetic and the max are exact
+/// functions of the inputs, so output AND return value are bit-identical
+/// across EVERY tier, scalar included. `out` must not alias `prev`.
+double RelaxedScaling(const double* marginal, const double* denom,
+                      double exponent, const double* prev, double* out,
+                      size_t n);
+
 // ------------------------------------------------- f32 kernel-tier lanes --
 //
 // Float-STORAGE variants of the kernel hot loops for the opt-in
@@ -348,6 +365,8 @@ struct SimdOps {
                                  double*, size_t);
   void (*add_exp_write)(double, const double*, const double*, double*,
                         size_t);
+  double (*relaxed_scaling)(const double*, const double*, double,
+                            const double*, double*, size_t);
   // f32 kernel-tier lanes (float storage, double accumulation).
   double (*dot_f32)(const float*, const double*, size_t);
   double (*dot3_f32)(const double*, const float*, const double*, size_t);

@@ -66,6 +66,24 @@ struct PackAvx2 {
   static V ZeroIfBelow(V v, V x, V lim) {
     return _mm256_and_pd(v, _mm256_cmp_pd(x, lim, _CMP_GE_OQ));
   }
+  static V Logb(V x) {
+    // The exponent field as an exact double: OR it under the bits of 2^52
+    // (mantissa field = the integer), then subtract 2^52 + the bias.
+    const __m256i field = _mm256_srli_epi64(_mm256_castpd_si256(x), 52);
+    const __m256d biased = _mm256_castsi256_pd(
+        _mm256_or_si256(field, _mm256_set1_epi64x(0x4330000000000000LL)));
+    return _mm256_sub_pd(biased, _mm256_set1_pd(4503599627370496.0 + 1023.0));
+  }
+  static V HalfMantissa(V x) {
+    const __m256i mant = _mm256_and_si256(
+        _mm256_castpd_si256(x), _mm256_set1_epi64x(0x000FFFFFFFFFFFFFLL));
+    return _mm256_castsi256_pd(
+        _mm256_or_si256(mant, _mm256_set1_epi64x(0x3FE0000000000000LL)));
+  }
+  static V ZeroIfZero(V v, V x) {
+    return _mm256_and_pd(
+        v, _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_NEQ_UQ));
+  }
 };
 
 }  // namespace

@@ -67,6 +67,16 @@ struct PackAvx512 {
   static V ZeroIfBelow(V v, V x, V lim) {
     return _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(x, lim, _CMP_GE_OQ), v);
   }
+  // getexp/getmant are exact for positive normal x — the only lanes
+  // whose results are kept (simd_impl.h's LogPdImpl contract).
+  static V Logb(V x) { return _mm512_getexp_pd(x); }
+  static V HalfMantissa(V x) {
+    return _mm512_getmant_pd(x, _MM_MANT_NORM_p5_1, _MM_MANT_SIGN_src);
+  }
+  static V ZeroIfZero(V v, V x) {
+    return _mm512_maskz_mov_pd(
+        _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_NEQ_UQ), v);
+  }
 };
 
 }  // namespace

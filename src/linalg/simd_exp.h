@@ -4,14 +4,16 @@
 // included only by its ISA translation units; deliberately NOT exported
 // through the umbrella header.
 
-// The ONE exponential every SIMD tier evaluates — scalar reference
-// included. The log-domain LSE reductions (simd.h: ExpSumShifted and
-// friends) need e^x inside their inner loops, where libm's exp() is both
-// slow and unvectorizable; this header defines the shared Cephes-style
-// rational approximation (~1 ulp over the reduced range) as plain scalar
-// code, and simd_impl.h instantiates the identical operation sequence on
+// The ONE exponential and the ONE logarithm every SIMD tier evaluates —
+// scalar reference included. The log-domain LSE reductions (simd.h:
+// ExpSumShifted and friends) need e^x inside their inner loops, and the
+// relaxed Sinkhorn scaling step (simd.h: RelaxedScaling) needs s^e =
+// e^{e·ln s} on every potential entry, where libm's exp()/pow() are both
+// slow and unvectorizable. This header defines the shared Cephes-style
+// rational approximations (~1 ulp over the reduced range) as plain scalar
+// code, and simd_impl.h instantiates the identical operation sequences on
 // lane packs. Because every tier — scalar included — evaluates the same
-// polynomial with the same fma/multiply/divide structure, per-element
+// polynomials with the same fma/multiply/divide structure, per-element
 // results are bit-identical across tiers; only the *sum* order of the
 // surrounding reductions differs (the usual few-ULP lane-accumulator
 // reordering).
@@ -25,10 +27,15 @@
 //  - x > kPolyExpHi (709) clamps to e^709 ≈ 8.2e307. The log-sum-exp
 //    callers always shift by the max first, so their inputs are <= 0 and
 //    never hit this clamp.
+//
+// PolyLog is defined for positive, NORMAL, finite x only (its callers
+// zero every other lane first; see RelaxedScale below).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 namespace otclean::linalg::simd {
 
@@ -83,6 +90,94 @@ inline double PolyExp(double x) {
   double out;
   std::memcpy(&out, &bits, sizeof(out));
   return out;
+}
+
+// Cephes log() rational coefficients for the reduced argument
+// f ∈ [√½ − 1, √2 − 1): ln(1 + f) = f − f²/2 + f·f²·P(f)/Q(f), with Q
+// monic; ln 2 split as kPolyLogC1 + kPolyLogC2 so e·ln 2 adds exactly.
+inline constexpr double kPolyLogSqrtHalf = 0.70710678118654752440;
+inline constexpr double kPolyLogC1 = 0.693359375;
+inline constexpr double kPolyLogC2 = -2.121944400546905827679E-4;
+inline constexpr double kPolyLogP0 = 1.01875663804580931796E-4;
+inline constexpr double kPolyLogP1 = 4.97494994976747001425E-1;
+inline constexpr double kPolyLogP2 = 4.70579119878881725854E0;
+inline constexpr double kPolyLogP3 = 1.44989225341610930846E1;
+inline constexpr double kPolyLogP4 = 1.79368678507819816313E1;
+inline constexpr double kPolyLogP5 = 7.70838733755885391666E0;
+inline constexpr double kPolyLogQ0 = 1.12873587189167450590E1;
+inline constexpr double kPolyLogQ1 = 4.52279145837532221105E1;
+inline constexpr double kPolyLogQ2 = 8.29875266912776603211E1;
+inline constexpr double kPolyLogQ3 = 7.11544750618563894466E1;
+inline constexpr double kPolyLogQ4 = 2.31251620126765340583E1;
+
+/// ⌊log2 x⌋ of a positive normal x, as an (exact) double — the vector
+/// tiers' Logb, read straight off the exponent field.
+inline double PolyLogb(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return static_cast<double>(static_cast<int64_t>(bits >> 52) - 1023);
+}
+
+/// x scaled by a power of two into [0.5, 1) — the vector tiers'
+/// HalfMantissa: the exponent field replaced by that of 0.5.
+inline double PolyHalfMantissa(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  bits = (bits & 0x000FFFFFFFFFFFFFull) | 0x3FE0000000000000ull;
+  double m;
+  std::memcpy(&m, &bits, sizeof(m));
+  return m;
+}
+
+/// ln x for positive normal finite x. The scalar tier's log, and the
+/// per-lane semantics of the vector tiers' LogPd — kept in exact
+/// operation-for-operation correspondence with simd_impl.h's template.
+/// Every step before the polynomial is exact: x = m·2^k with
+/// m ∈ [0.5, 1) and k = ⌊log2 x⌋ + 1; below √½ the mantissa doubles (and
+/// k drops by one) so the reduced argument f = m − 1 (+ m) lands in
+/// [√½ − 1, √2 − 1), and ln x = ln(1 + f) + k·ln 2.
+inline double PolyLog(double x) {
+  const double m = PolyHalfMantissa(x);
+  const double small = m < kPolyLogSqrtHalf ? 1.0 : 0.0;
+  const double k = (PolyLogb(x) + 1.0) - small;
+  const double f = std::fma(m, small, m - 1.0);
+  const double z = f * f;
+  double p = kPolyLogP0;
+  p = std::fma(p, f, kPolyLogP1);
+  p = std::fma(p, f, kPolyLogP2);
+  p = std::fma(p, f, kPolyLogP3);
+  p = std::fma(p, f, kPolyLogP4);
+  p = std::fma(p, f, kPolyLogP5);
+  double q = f + kPolyLogQ0;
+  q = std::fma(q, f, kPolyLogQ1);
+  q = std::fma(q, f, kPolyLogQ2);
+  q = std::fma(q, f, kPolyLogQ3);
+  q = std::fma(q, f, kPolyLogQ4);
+  double y = f * ((z * p) / q);
+  y = std::fma(k, kPolyLogC2, y);
+  y = std::fma(z, -0.5, y);
+  return std::fma(k, kPolyLogC1, f + y);
+}
+
+/// Ceiling of a Sinkhorn scaling entry (see RelaxedScale).
+inline constexpr double kScalingMax = 1e150;
+
+/// One entry of a Sinkhorn half-update: s = marginal/denom (0 when
+/// denom == 0), raised to `exponent` and clamped. Exponent 1 (classic
+/// mode) keeps the exact quotient; otherwise s^e = PolyExp(e·PolyLog(s)),
+/// and 0, NaN, negative and subnormal ratios give exactly 0 (a +inf ratio
+/// reads as DBL_MAX). Either way NaN and negative results become 0 and
+/// results above kScalingMax clamp to it. The scalar tier's element, and
+/// the per-lane semantics of simd_impl.h's RelaxedScalingImpl.
+inline double RelaxedScale(double marginal, double denom, double exponent) {
+  double s = denom != 0.0 ? marginal / denom : 0.0;
+  if (exponent != 1.0) {
+    if (!(s >= std::numeric_limits<double>::min())) return 0.0;
+    s = std::min(s, std::numeric_limits<double>::max());
+    s = PolyExp(exponent * PolyLog(s));
+  }
+  if (!(s >= 0.0)) return 0.0;  // NaN and negative: no mass
+  return s < kScalingMax ? s : kScalingMax;
 }
 
 }  // namespace otclean::linalg::simd

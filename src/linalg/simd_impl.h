@@ -56,6 +56,18 @@
 // which ExpPdImpl composes into the shared PolyExp polynomial of
 // simd_exp.h — same coefficients, same fma/mul/div sequence — so a lane
 // of any vector tier's exp is bit-identical to the scalar PolyExp.
+//
+// The relaxed scaling step (RelaxedScalingImpl) further requires:
+//
+//     static V Logb(V x);                      // ⌊log2 x⌋ as a double
+//     static V HalfMantissa(V x);              // x·2^-k in [0.5, 1)
+//                                              // (both: positive normal x;
+//                                              // exact bit manipulations)
+//     static V ZeroIfZero(V v, V x);           // lanes of v where x != 0,
+//                                              // else exact 0 (NaN x keeps v)
+//
+// from which LogPdImpl builds the shared PolyLog of simd_exp.h the same
+// way.
 
 #include <cmath>
 #include <cstddef>
@@ -325,6 +337,82 @@ typename P::V ExpPdImpl(typename P::V x) {
   return P::ZeroIfBelow(res, x, lo);  // underflow, -inf, NaN → exact 0
 }
 
+/// Lane-pack PolyLog (simd_exp.h): identical exponent/mantissa split →
+/// reduced argument → rational polynomial → e·ln 2 sequence, one lane per
+/// element. Lanes outside PolyLog's domain (non-normal, negative, NaN)
+/// yield garbage the caller masks.
+template <class P>
+typename P::V LogPdImpl(typename P::V x) {
+  using V = typename P::V;
+  const V one = P::Set1(1.0);
+  const V m = P::HalfMantissa(x);
+  // 1 where m < √½ (mantissa doubles, exponent drops by one), else 0.
+  const V small =
+      P::Sub(one, P::ZeroIfBelow(one, m, P::Set1(kPolyLogSqrtHalf)));
+  const V k = P::Sub(P::Add(P::Logb(x), one), small);
+  const V f = P::Fma(m, small, P::Sub(m, one));
+  const V z = P::Mul(f, f);
+  V p = P::Set1(kPolyLogP0);
+  p = P::Fma(p, f, P::Set1(kPolyLogP1));
+  p = P::Fma(p, f, P::Set1(kPolyLogP2));
+  p = P::Fma(p, f, P::Set1(kPolyLogP3));
+  p = P::Fma(p, f, P::Set1(kPolyLogP4));
+  p = P::Fma(p, f, P::Set1(kPolyLogP5));
+  V q = P::Add(f, P::Set1(kPolyLogQ0));
+  q = P::Fma(q, f, P::Set1(kPolyLogQ1));
+  q = P::Fma(q, f, P::Set1(kPolyLogQ2));
+  q = P::Fma(q, f, P::Set1(kPolyLogQ3));
+  q = P::Fma(q, f, P::Set1(kPolyLogQ4));
+  V y = P::Mul(f, P::Div(P::Mul(z, p), q));
+  y = P::Fma(k, P::Set1(kPolyLogC2), y);
+  y = P::Fma(z, P::Set1(-0.5), y);
+  return P::Fma(k, P::Set1(kPolyLogC1), P::Add(f, y));
+}
+
+/// out[i] = RelaxedScale(marginal[i], denom[i], exponent) (simd_exp.h),
+/// returning max_i |out[i] − prev[i]| with NaN differences ignored — the
+/// Vector::NormInf of (out − prev), fused into the same pass. Every lane
+/// follows the scalar element's semantics exactly and max is exact, so
+/// output and return value are bit-identical across tiers.
+template <class P>
+double RelaxedScalingImpl(const double* marginal, const double* denom,
+                          double exponent, const double* prev, double* out,
+                          size_t n) {
+  using V = typename P::V;
+  constexpr size_t L = P::kLanes;
+  const V zero = P::Zero();
+  const V ceiling = P::Set1(kScalingMax);
+  const V min_ratio = P::Set1(std::numeric_limits<double>::min());
+  const V max_finite = P::Set1(std::numeric_limits<double>::max());
+  const V ev = P::Set1(exponent);
+  const bool classic = exponent == 1.0;
+  V acc = zero;
+  size_t i = 0;
+  for (; i + L <= n; i += L) {
+    const V d = P::Load(denom + i);
+    const V s = P::ZeroIfZero(P::Div(P::Load(marginal + i), d), d);
+    V r;
+    if (classic) {
+      r = P::Min(P::ZeroIfBelow(s, s, zero), ceiling);
+    } else {
+      const V sc = P::Min(s, max_finite);
+      r = ExpPdImpl<P>(P::Mul(ev, LogPdImpl<P>(sc)));
+      r = P::ZeroIfBelow(P::Min(r, ceiling), s, min_ratio);
+    }
+    P::Store(out + i, r);
+    const V pv = P::Load(prev + i);
+    const V ad = P::Max(P::Sub(r, pv), P::Sub(pv, r));
+    acc = P::Max(P::ZeroIfBelow(ad, ad, zero), acc);  // NaN Δ ignored
+  }
+  double delta = P::ReduceMax(acc);
+  for (; i < n; ++i) {
+    out[i] = RelaxedScale(marginal[i], denom[i], exponent);
+    const double d = std::fabs(out[i] - prev[i]);
+    if (d > delta) delta = d;
+  }
+  return delta;
+}
+
 // The max reductions reuse the 4-accumulator blocking of the sums. Max is
 // exactly associative and commutative (no NaN inputs by contract), so —
 // unlike the sums — any blocking gives the bit-identical result the
@@ -559,6 +647,7 @@ detail::SimdOps MakeOps() {
   ops.add_max_accumulate = AddMaxAccumulateImpl<P>;
   ops.add_exp_sum_accumulate = AddExpSumAccumulateImpl<P>;
   ops.add_exp_write = AddExpWriteImpl<P>;
+  ops.relaxed_scaling = RelaxedScalingImpl<P>;
   // f32 kernel tier: the same templates at float, widening through
   // LoadF32/GatherF32.
   ops.dot_f32 = DotImpl<P, float>;

@@ -57,6 +57,21 @@ struct PackNeon {
     return vreinterpretq_f64_u64(
         vandq_u64(vreinterpretq_u64_f64(v), vcgeq_f64(x, lim)));
   }
+  static V Logb(V x) {
+    // The exponent field (a small integer, converted exactly) minus bias.
+    const uint64x2_t field = vshrq_n_u64(vreinterpretq_u64_f64(x), 52);
+    return vsubq_f64(vcvtq_f64_u64(field), vdupq_n_f64(1023.0));
+  }
+  static V HalfMantissa(V x) {
+    const uint64x2_t mant = vandq_u64(vreinterpretq_u64_f64(x),
+                                      vdupq_n_u64(0x000FFFFFFFFFFFFFull));
+    return vreinterpretq_f64_u64(
+        vorrq_u64(mant, vdupq_n_u64(0x3FE0000000000000ull)));
+  }
+  static V ZeroIfZero(V v, V x) {
+    return vreinterpretq_f64_u64(vbicq_u64(vreinterpretq_u64_f64(v),
+                                           vceqq_f64(x, vdupq_n_f64(0.0))));
+  }
 };
 
 }  // namespace

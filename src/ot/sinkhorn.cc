@@ -11,6 +11,7 @@
 
 #include "core/solve_cache.h"
 #include "linalg/log_transport_kernel.h"
+#include "linalg/simd.h"
 #include "linalg/thread_pool.h"
 
 namespace otclean::ot {
@@ -49,30 +50,28 @@ double RelaxedExponent(const SinkhornOptions& options) {
 
 /// THE convergence loop — every solver variant (dense, sparse, relaxed,
 /// linear- or log-domain) runs this one loop and differs only in its
-/// half-iteration updates and change metric. `row_update(v, new_u)` writes
-/// the next row potential from the current column potential (including any
-/// relaxed exponent and clamping); `col_update(new_u, new_v)` the
-/// converse; `delta(a, b)` measures the max-change between successive
-/// potentials.
+/// half-iteration updates. `row_update(v, u, new_u)` writes the next row
+/// potential from the current column potential (including any relaxed
+/// exponent and clamping) and returns its max-change against the previous
+/// row potential `u`; `col_update(new_u, v, new_v)` the converse. Fusing
+/// the change metric into the update pass is what keeps the loop free of
+/// per-iteration temporaries.
 /// A non-OK return means the solve was aborted by the context's token or
 /// deadline — the stop is checked once per iteration, before
 /// the half-updates, so an abort never leaves a half-applied iteration
 /// and a completed loop is bit-identical to one run without the checks.
 /// The caller's ScopedStopFlag (installed around this loop) additionally
 /// lets pooled kernel dispatches drain mid-iteration once a token fires.
-template <typename RowUpdate, typename ColUpdate, typename Delta>
+template <typename RowUpdate, typename ColUpdate>
 Status RunScalingLoop(linalg::Vector& u, linalg::Vector& v,
                       const SinkhornOptions& options, const ExecContext& ctx,
                       const char* where, size_t& iterations, bool& converged,
-                      RowUpdate&& row_update, ColUpdate&& col_update,
-                      Delta&& delta) {
+                      RowUpdate&& row_update, ColUpdate&& col_update) {
   linalg::Vector new_u(u.size()), new_v(v.size());
   for (size_t it = 0; it < options.max_iterations; ++it) {
     OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, where));
-    row_update(v, new_u);
-    col_update(new_u, new_v);
-    const double du = delta(new_u, u);
-    const double dv = delta(new_v, v);
+    const double du = row_update(v, u, new_u);
+    const double dv = col_update(new_u, v, new_v);
     std::swap(u, new_u);
     std::swap(v, new_v);
     iterations = it + 1;
@@ -84,21 +83,27 @@ Status RunScalingLoop(linalg::Vector& u, linalg::Vector& v,
   return Status::OK();
 }
 
-/// Max-change between successive LOG-potential vectors. Two −inf entries
-/// are an unchanged "no mass" state (Δ = 0 for that coordinate), but a
-/// potential flipping between finite and −inf — mass appearing or
-/// disappearing under relaxed mode — is a real, infinite change: it must
-/// read as Δ = ∞, never be skipped, or the loop reports convergence in
-/// the very iteration the support changed.
-double LogPotentialDelta(const linalg::Vector& a, const linalg::Vector& b) {
+/// One log-domain half-update, lp_i = λ'·(log marg_i − lse_i), fused with
+/// its change metric against the previous potential `prev`. A zero
+/// marginal or an unreachable entry keeps lp_i = −inf (the linear-domain
+/// 0/0 := 0 convention). Two −inf entries are an unchanged "no mass"
+/// state (Δ = 0 for that coordinate), but a potential flipping between
+/// finite and −inf — mass appearing or disappearing under relaxed mode —
+/// is a real, infinite change: it must read as Δ = ∞, never be skipped,
+/// or the loop reports convergence in the very iteration the support
+/// changed.
+double LogHalfUpdate(const linalg::Vector& log_marginal,
+                     const linalg::Vector& lse, double exponent,
+                     const linalg::Vector& prev, linalg::Vector& next) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   double d = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] == b[i]) continue;  // equal finites, and −inf vs −inf
-    const double di = std::fabs(a[i] - b[i]);
-    if (!std::isfinite(di)) {
-      return std::numeric_limits<double>::infinity();
-    }
-    d = std::max(d, di);
+  for (size_t i = 0; i < next.size(); ++i) {
+    next[i] = (log_marginal[i] == kNegInf || lse[i] == kNegInf)
+                  ? kNegInf
+                  : exponent * (log_marginal[i] - lse[i]);
+    if (next[i] == prev[i]) continue;  // equal finites, and −inf vs −inf
+    const double di = std::fabs(next[i] - prev[i]);
+    d = std::isfinite(di) ? std::max(d, di) : kInf;
   }
   return d;
 }
@@ -107,6 +112,26 @@ double LogPotentialDelta(const linalg::Vector& a, const linalg::Vector& b) {
 /// NOT Vector::CwiseLogSafe, whose 0 ↦ 0 convention serves entropy sums).
 double LogOrNegInf(double x) {
   return x > 0.0 ? std::log(x) : kNegInf;
+}
+
+/// ε must be a positive finite number, and so must λ in relaxed mode (its
+/// exponent λ/(λ+ε) is meaningless otherwise). NaN passes a plain `<= 0`
+/// test, and a NaN, negative or zero λ would run to completion and drain
+/// or freeze the plan — reject them up front, naming the field.
+Status ValidateRegularization(const char* where,
+                              const SinkhornOptions& options) {
+  if (!(options.epsilon > 0.0) || !std::isfinite(options.epsilon)) {
+    return Status::InvalidArgument(
+        std::string(where) + ": epsilon = " + std::to_string(options.epsilon) +
+        " (it must be a positive finite number)");
+  }
+  if (options.relaxed &&
+      (!(options.lambda > 0.0) || !std::isfinite(options.lambda))) {
+    return Status::InvalidArgument(
+        std::string(where) + ": lambda = " + std::to_string(options.lambda) +
+        " (relaxed mode needs a positive finite number)");
+  }
+  return Status::OK();
 }
 
 Status ValidateMarginals(const char* where, const linalg::Vector& p,
@@ -200,10 +225,7 @@ Status ValidateInputs(const char* where, const linalg::CostProvider& cost,
     return Status::InvalidArgument(std::string(where) +
                                    ": marginal dimension mismatch");
   }
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument(std::string(where) +
-                                   ": epsilon must be positive");
-  }
+  OTCLEAN_RETURN_NOT_OK(ValidateRegularization(where, options));
   // max_iterations == 0 silently returned the cold-start potentials as a
   // "converged: false" result — an all-ones plan scaling that looks like a
   // solve. tolerance <= 0 (or NaN) can never be met, so every run burned
@@ -520,6 +542,10 @@ Result<SinkhornScaling> RunSinkhornScaling(
   if (Status s = ValidateMarginals("RunSinkhornScaling", p, q); !s.ok()) {
     return s;
   }
+  if (options.relaxed) {
+    OTCLEAN_RETURN_NOT_OK(
+        ValidateRegularization("RunSinkhornScaling", options));
+  }
   if (Status s = ValidateWarmStart("RunSinkhornScaling", warm_u, m, warm_v, n);
       !s.ok()) {
     return s;
@@ -530,45 +556,35 @@ Result<SinkhornScaling> RunSinkhornScaling(
 
   const double exponent = RelaxedExponent(options);
   linalg::Vector kv(m), ktu(n);
-  // Element-wise into the loop's preallocated buffer — the equivalent of
-  // CwiseQuotientSafe (x/0 := 0) + CwisePow (zeros preserved) +
-  // ClampScaling, without per-half-iteration allocations. Same policy as
-  // ClampScaling: overflow to the ceiling, NaN/negative to no-mass 0.
-  auto scale = [&](const linalg::Vector& marginal, const linalg::Vector& denom,
-                   linalg::Vector& next) {
-    constexpr double kMax = 1e150;
-    for (size_t i = 0; i < next.size(); ++i) {
-      double s = denom[i] != 0.0 ? marginal[i] / denom[i] : 0.0;
-      if (exponent != 1.0) s = s > 0.0 ? std::pow(s, exponent) : 0.0;
-      if (std::isnan(s) || s < 0.0) {
-        s = 0.0;
-      } else if (s > kMax) {
-        s = kMax;
-      }
-      next[i] = s;
-    }
-  };
 
   // While the loop runs, pooled kernel dispatches observe the token too:
   // a fired token drains in-flight Apply/ApplyTranspose dispatches without
   // touching their chunk decomposition.
   linalg::ThreadPool::ScopedStopFlag stop_scope(ctx.stop_flag());
+  // Each half-update is one SIMD pass (linalg/simd.h RelaxedScaling): the
+  // ratio, the relaxed exponent, the clamp to [0, 1e150] and the
+  // max-change against the previous potential, into the loop's
+  // preallocated buffer.
   OTCLEAN_RETURN_NOT_OK(RunScalingLoop(
       out.u, out.v, options, ctx, "RunSinkhornScaling", out.iterations,
       out.converged,
       /*row_update=*/
-      [&](const linalg::Vector& v, linalg::Vector& next_u) {
+      [&](const linalg::Vector& v, const linalg::Vector& u,
+          linalg::Vector& next_u) {
         kernel.Apply(v, kv);
-        scale(p, kv, next_u);
+        return linalg::simd::RelaxedScaling(p.data().data(),
+                                            kv.data().data(), exponent,
+                                            u.data().data(),
+                                            next_u.data().data(), m);
       },
       /*col_update=*/
-      [&](const linalg::Vector& u, linalg::Vector& next_v) {
+      [&](const linalg::Vector& u, const linalg::Vector& v,
+          linalg::Vector& next_v) {
         kernel.ApplyTranspose(u, ktu);
-        scale(q, ktu, next_v);
-      },
-      /*delta=*/
-      [](const linalg::Vector& a, const linalg::Vector& b) {
-        return (a - b).NormInf();
+        return linalg::simd::RelaxedScaling(q.data().data(),
+                                            ktu.data().data(), exponent,
+                                            v.data().data(),
+                                            next_v.data().data(), n);
       }));
   return out;
 }
@@ -587,6 +603,10 @@ Result<SinkhornLogScaling> RunSinkhornLogScaling(
   if (Status s = ValidateMarginals("RunSinkhornLogScaling", p, q); !s.ok()) {
     return s;
   }
+  if (options.relaxed) {
+    OTCLEAN_RETURN_NOT_OK(
+        ValidateRegularization("RunSinkhornLogScaling", options));
+  }
   if (Status s = ValidateWarmStart("RunSinkhornLogScaling", warm_lu, m,
                                    warm_lv, n);
       !s.ok()) {
@@ -603,31 +623,23 @@ Result<SinkhornLogScaling> RunSinkhornLogScaling(
   const double exponent = RelaxedExponent(options);
   linalg::Vector lse_rows(m), lse_cols(n);
   linalg::ThreadPool::ScopedStopFlag stop_scope(ctx.stop_flag());
+  // Log-domain half-iterations: lu_i = λ'·(log p_i − log(K·v)_i) with the
+  // LSE streamed by the kernel (see LogHalfUpdate for the −inf rules).
   OTCLEAN_RETURN_NOT_OK(RunScalingLoop(
       out.lu, out.lv, options, ctx, "RunSinkhornLogScaling", out.iterations,
       out.converged,
-      // Log-domain half-iterations: lu_i = λ'·(log p_i − log(K·v)_i) with
-      // the LSE streamed by the kernel; p_i = 0 (or an unreachable row)
-      // keeps lu_i = −inf, matching the linear-domain 0/0 := 0 convention.
       /*row_update=*/
-      [&](const linalg::Vector& lvv, linalg::Vector& next_lu) {
+      [&](const linalg::Vector& lvv, const linalg::Vector& luu,
+          linalg::Vector& next_lu) {
         kernel.LogApply(lvv, lse_rows);
-        for (size_t i = 0; i < m; ++i) {
-          next_lu[i] = (log_p[i] == kNegInf || lse_rows[i] == kNegInf)
-                           ? kNegInf
-                           : exponent * (log_p[i] - lse_rows[i]);
-        }
+        return LogHalfUpdate(log_p, lse_rows, exponent, luu, next_lu);
       },
       /*col_update=*/
-      [&](const linalg::Vector& luu, linalg::Vector& next_lv) {
+      [&](const linalg::Vector& luu, const linalg::Vector& lvv,
+          linalg::Vector& next_lv) {
         kernel.LogApplyTranspose(luu, lse_cols);
-        for (size_t j = 0; j < n; ++j) {
-          next_lv[j] = (log_q[j] == kNegInf || lse_cols[j] == kNegInf)
-                           ? kNegInf
-                           : exponent * (log_q[j] - lse_cols[j]);
-        }
-      },
-      /*delta=*/LogPotentialDelta));
+        return LogHalfUpdate(log_q, lse_cols, exponent, lvv, next_lv);
+      }));
   return out;
 }
 
@@ -736,10 +748,8 @@ Result<EpsilonAnnealWarmStart> RunSinkhornAnnealed(
   if (Status s = ValidateSchedule("RunSinkhornAnnealed", options); !s.ok()) {
     return s;
   }
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument(
-        "RunSinkhornAnnealed: epsilon must be positive");
-  }
+  OTCLEAN_RETURN_NOT_OK(
+      ValidateRegularization("RunSinkhornAnnealed", options));
   if (p.size() != cost.rows() || q.size() != cost.cols()) {
     return Status::InvalidArgument(
         "RunSinkhornAnnealed: marginal dimension mismatch");

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "core/fast_otclean.h"
 #include "core/solve_cache.h"
@@ -229,6 +231,77 @@ TEST(FastOtCleanTest, RejectsBadInputs) {
   FastOtCleanOptions bad = DefaultOptions();
   bad.ci_strength = 2.0;
   EXPECT_FALSE(FastOtClean(u, ci, cost, bad, rng).ok());
+}
+
+TEST(FastOtCleanTest, RejectsNonFiniteOrNonPositiveEpsilonAndLambda) {
+  // NaN passes a plain `epsilon <= 0` test and λ was never checked: each
+  // of these used to end in "Internal: plan lost all mass" (a retryable
+  // error) or, for λ = 0, a silent identity repair.
+  const auto p = MakeViolated(21);
+  const CiSpec ci{{0}, {1}, {2}};
+  ot::EuclideanCost cost(3);
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double eps : {kNan, kInf, 0.0, -0.1}) {
+    FastOtCleanOptions opts = DefaultOptions();
+    opts.epsilon = eps;
+    Rng rng(1);
+    const auto r = FastOtClean(p, ci, cost, opts, rng);
+    ASSERT_FALSE(r.ok()) << "epsilon " << eps;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("epsilon"), std::string::npos);
+  }
+  for (const double lambda : {kNan, kInf, 0.0, -0.1}) {
+    FastOtCleanOptions opts = DefaultOptions();
+    opts.lambda = lambda;
+    Rng rng(1);
+    const auto r = FastOtClean(p, ci, cost, opts, rng);
+    ASSERT_FALSE(r.ok()) << "lambda " << lambda;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("lambda"), std::string::npos);
+  }
+}
+
+TEST(FastOtCleanTest, InnerToleranceNeverDropsBelowItsFloor) {
+  // The inner tolerance follows outer progress — 0.1 × the previous outer
+  // step's TV delta — but sinkhorn_tolerance is its floor, and a
+  // converging repair still reaches the CI set.
+  const auto p = MakeD2();
+  const CiSpec ci{{1}, {2}, {}};  // Y ⟂ Z
+  ot::EuclideanCost cost(3);
+  FastOtCleanOptions opts = DefaultOptions();
+  opts.max_sinkhorn_iterations = 20000;  // the cold first solve needs > 5000
+  Rng rng(4);
+  const auto r = FastOtClean(p, ci, cost, opts, rng).value();
+  ASSERT_TRUE(r.converged);
+  EXPECT_LT(r.target_cmi, 1e-6);
+  EXPECT_LE(r.final_outer_delta, opts.outer_tolerance);
+  EXPECT_GE(r.final_inner_tolerance, opts.sinkhorn_tolerance);
+  EXPECT_EQ(r.capped_inner_solves, 0u);
+
+  // A floor far above every outer delta pins every inner solve to it.
+  opts.sinkhorn_tolerance = 1e-3;
+  Rng rng2(4);
+  const auto loose = FastOtClean(p, ci, cost, opts, rng2).value();
+  EXPECT_EQ(loose.final_inner_tolerance, 1e-3);
+  EXPECT_LT(loose.final_outer_delta, 1e-2);
+}
+
+TEST(FastOtCleanTest, ReportsCappedInnerSolves) {
+  // Every inner solve stopped by a tiny iteration cap is counted; the
+  // outer loop no longer consumes them silently.
+  const auto p = MakeViolated(6);
+  const CiSpec ci{{0}, {1}, {2}};
+  ot::EuclideanCost cost(3);
+  FastOtCleanOptions opts = DefaultOptions();
+  opts.max_sinkhorn_iterations = 2;
+  opts.max_outer_iterations = 7;
+  Rng rng(8);
+  const auto r = FastOtClean(p, ci, cost, opts, rng).value();
+  EXPECT_EQ(r.outer_iterations, 7u);
+  EXPECT_EQ(r.capped_inner_solves, r.outer_iterations);
+  EXPECT_EQ(r.total_sinkhorn_iterations, 2u * r.outer_iterations);
+  EXPECT_GT(r.final_outer_delta, 0.0);
 }
 
 TEST(FastOtCleanTest, SharperEpsilonLowersTransportCost) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "ot/cost.h"
 #include "ot/exact.h"
@@ -205,6 +206,85 @@ TEST(SinkhornTest, RejectsBadInputs) {
   opts.epsilon = -1.0;
   linalg::Vector p2(std::vector<double>{0.5, 0.5});
   EXPECT_FALSE(RunSinkhorn(SimpleCost(), p2, q, opts).ok());
+}
+
+TEST(SinkhornTest, RejectsNonFiniteEpsilonAndRelaxedLambda) {
+  // NaN slips past `epsilon <= 0`, and λ was never checked: both used to
+  // run and drain the plan. Every entry point names the bad field.
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  linalg::Vector p(std::vector<double>{0.5, 0.5});
+  linalg::Vector q(std::vector<double>{0.5, 0.5});
+  const auto expect_invalid = [](const Status& s, const char* field) {
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.message().find(field), std::string::npos) << s.ToString();
+  };
+  for (const double eps :
+       {kNan, std::numeric_limits<double>::infinity(), 0.0}) {
+    SinkhornOptions opts;
+    opts.epsilon = eps;
+    expect_invalid(RunSinkhorn(SimpleCost(), p, q, opts).status(), "epsilon");
+    expect_invalid(RunSinkhornSparse(SimpleCost(), p, q, opts, 0.0).status(),
+                   "epsilon");
+  }
+  for (const double lambda : {kNan, -0.1, 0.0}) {
+    SinkhornOptions opts;
+    opts.relaxed = true;
+    opts.lambda = lambda;
+    expect_invalid(RunSinkhorn(SimpleCost(), p, q, opts).status(), "lambda");
+    const linalg::DenseTransportKernel kernel(SimpleCost().GibbsKernel(0.05),
+                                              /*num_threads=*/1);
+    expect_invalid(RunSinkhornScaling(kernel, p, q, opts).status(), "lambda");
+    opts.epsilon_schedule.initial_epsilon = 0.2;
+    expect_invalid(RunSinkhornAnnealed(linalg::MatrixCostProvider(SimpleCost()),
+                                       p, q, opts)
+                       .status(),
+                   "lambda");
+  }
+  // Classic mode never reads λ.
+  SinkhornOptions classic;
+  classic.lambda = kNan;
+  EXPECT_TRUE(RunSinkhorn(SimpleCost(), p, q, classic).ok());
+}
+
+TEST(SinkhornTest, RelaxedScalingTracksLibmPowReference) {
+  // The relaxed half-update evaluates s^e as PolyExp(e·PolyLog(s)); after
+  // a fixed number of iterations its potentials must agree with the same
+  // loop written with std::pow to near machine precision.
+  linalg::Matrix cost(3, 4);
+  for (size_t i = 0; i < 3; ++i) {
+    for (size_t j = 0; j < 4; ++j) {
+      cost(i, j) = 0.1 * static_cast<double>((i + 2 * j) % 5);
+    }
+  }
+  linalg::Vector p(std::vector<double>{0.5, 0.3, 0.2});
+  linalg::Vector q(std::vector<double>{0.1, 0.2, 0.3, 0.4});
+  SinkhornOptions opts;
+  opts.epsilon = 0.05;
+  opts.relaxed = true;
+  opts.lambda = 2.0;
+  opts.max_iterations = 40;
+  opts.tolerance = 1e-300;
+  const linalg::Matrix k = cost.GibbsKernel(opts.epsilon);
+  const linalg::DenseTransportKernel kernel(k, /*num_threads=*/1);
+  const auto got = RunSinkhornScaling(kernel, p, q, opts).value();
+  ASSERT_EQ(got.iterations, 40u);
+
+  const double e = opts.lambda / (opts.lambda + opts.epsilon);
+  std::vector<double> u(3, 1.0), v(4, 1.0);
+  for (size_t it = 0; it < 40; ++it) {
+    for (size_t i = 0; i < 3; ++i) {
+      double kv = 0.0;
+      for (size_t j = 0; j < 4; ++j) kv += k(i, j) * v[j];
+      u[i] = std::pow(p[i] / kv, e);
+    }
+    for (size_t j = 0; j < 4; ++j) {
+      double ktu = 0.0;
+      for (size_t i = 0; i < 3; ++i) ktu += k(i, j) * u[i];
+      v[j] = std::pow(q[j] / ktu, e);
+    }
+  }
+  for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(got.u[i], u[i], 1e-12 * u[i]);
+  for (size_t j = 0; j < 4; ++j) EXPECT_NEAR(got.v[j], v[j], 1e-12 * v[j]);
 }
 
 TEST(SinkhornTest, RejectsZeroMaxIterationsAndNonPositiveTolerance) {

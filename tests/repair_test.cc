@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/repair.h"
 #include "datagen/synthetic.h"
 
@@ -187,6 +189,38 @@ TEST(RepairTest, UnconvergedRepairReportsIterationCap) {
         << "attempts " << attempts;
     EXPECT_EQ(report->retry_attempts, attempts - 1);
   }
+}
+
+TEST(RepairTest, ReportCarriesInnerSolveDiagnostics) {
+  // The outer loop's inner-solve bookkeeping reaches the report: a tiny
+  // inner cap leaves every solve capped, and the final outer delta and
+  // inner tolerance are those of the last step.
+  const auto table = MakeViolatingTable(300);
+  RepairOptions opts;
+  opts.fast.max_outer_iterations = 4;
+  opts.fast.max_sinkhorn_iterations = 3;
+  const auto report = RepairTable(table, XyGivenZ(), opts).value();
+  EXPECT_EQ(report.outer_iterations, 4u);
+  EXPECT_EQ(report.capped_inner_solves, 4u);
+  EXPECT_GT(report.final_outer_delta, 0.0);
+  EXPECT_GE(report.final_inner_tolerance, opts.fast.sinkhorn_tolerance);
+}
+
+TEST(RepairTest, InvalidRegularizationIsNotRetried) {
+  // A NaN ε or a non-positive λ is a caller error, not a numeric blow-up:
+  // it fails InvalidArgument on the first attempt even with fallbacks on.
+  const auto table = MakeViolatingTable(100);
+  RepairOptions opts;
+  opts.retry.max_attempts = 3;
+  opts.fast.epsilon = std::numeric_limits<double>::quiet_NaN();
+  const auto nan_eps = RepairTable(table, XyGivenZ(), opts);
+  ASSERT_FALSE(nan_eps.ok());
+  EXPECT_EQ(nan_eps.status().code(), StatusCode::kInvalidArgument);
+  opts.fast.epsilon = 0.1;
+  opts.fast.lambda = 0.0;
+  const auto zero_lambda = RepairTable(table, XyGivenZ(), opts);
+  ASSERT_FALSE(zero_lambda.ok());
+  EXPECT_EQ(zero_lambda.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "linalg/simd_exp.h"
 #include "linalg/thread_pool.h"
 #include "linalg/transport_kernel.h"
 #include "ot/sinkhorn.h"
@@ -290,6 +292,170 @@ TEST(SimdExactTest, IntegerValuedSumsAreExactInEveryTier) {
     ScopedIsa scoped(isa);
     EXPECT_EQ(Sum(a.data(), a.size()), expected) << IsaName(isa);
     EXPECT_EQ(Dot(a.data(), ones.data(), a.size()), expected) << IsaName(isa);
+  }
+}
+
+// ------------------------------------------------ relaxed scaling step --
+
+/// Scaling-step inputs with an edge lane every few elements: zero
+/// denominator, zero marginal, NaN on either side, a ratio past the 1e150
+/// ceiling, a subnormal ratio, an infinite ratio, a negative marginal and
+/// a NaN previous potential (which the max-change must ignore).
+struct ScalingData {
+  std::vector<double> marginal, denom, prev;
+};
+
+ScalingData MakeScalingData(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  ScalingData d;
+  d.marginal.resize(n);
+  d.denom.resize(n);
+  d.prev.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    d.marginal[i] = 1e-3 + rng.NextDouble();
+    d.denom[i] = std::exp(40.0 * (rng.NextDouble() - 0.5));
+    d.prev[i] = 3.0 * rng.NextDouble();
+    switch (i % 11) {
+      case 1: d.denom[i] = 0.0; break;
+      case 2: d.marginal[i] = 0.0; break;
+      case 3: d.denom[i] = kNan; break;
+      case 4: d.marginal[i] = kNan; break;
+      case 5: d.denom[i] = 1e-200; break;                   // ratio > 1e150
+      case 6: d.marginal[i] = 1e-310; d.denom[i] = 1.0; break;  // subnormal
+      case 7: d.denom[i] = std::numeric_limits<double>::denorm_min(); break;
+      case 8: d.marginal[i] = -0.25; break;
+      case 9: d.prev[i] = kNan; break;
+      default: break;
+    }
+  }
+  return d;
+}
+
+const double kScalingExponents[] = {1.0, 50.0 / 50.1, 0.998, 0.5, 1.5};
+
+TEST(SimdScalingTest, RelaxedScalingIsBitIdenticalAcrossTiers) {
+  for (const size_t n : kSizes) {
+    const ScalingData d = MakeScalingData(n, 91 + n);
+    for (const double e : kScalingExponents) {
+      std::vector<double> ref(n);
+      double ref_delta = 0.0;
+      {
+        ScopedIsa scoped(Isa::kScalar);
+        ref_delta = RelaxedScaling(d.marginal.data(), d.denom.data(), e,
+                                   d.prev.data(), ref.data(), n);
+      }
+      for (Isa isa : VectorIsas()) {
+        ScopedIsa scoped(isa);
+        std::vector<double> out(n, -7.0);
+        const double delta = RelaxedScaling(d.marginal.data(), d.denom.data(),
+                                            e, d.prev.data(), out.data(), n);
+        EXPECT_EQ(delta, ref_delta) << IsaName(isa) << " n=" << n << " e=" << e;
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(out[i], ref[i])
+              << IsaName(isa) << " n=" << n << " e=" << e << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdScalingTest, RelaxedScalingEdgeLanesInEveryTier) {
+  const size_t n = 44;  // every edge lane lands in vector bodies and tails
+  const ScalingData d = MakeScalingData(n, 5);
+  for (Isa isa : SupportedIsas()) {
+    ScopedIsa scoped(isa);
+    for (const double e : kScalingExponents) {
+      std::vector<double> out(n);
+      const double delta = RelaxedScaling(d.marginal.data(), d.denom.data(),
+                                          e, d.prev.data(), out.data(), n);
+      double expect_delta = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        const std::string at = std::string(IsaName(isa)) +
+                               " e=" + std::to_string(e) +
+                               " i=" + std::to_string(i);
+        const double ratio = d.marginal[i] / d.denom[i];
+        switch (i % 11) {
+          case 1: case 2: case 3: case 4: case 8:
+            // No denominator, no mass, NaN, negative: exactly +0.
+            EXPECT_EQ(out[i], 0.0) << at;
+            EXPECT_FALSE(std::signbit(out[i])) << at;
+            break;
+          case 5: case 7: {
+            // Past the ceiling (1e200^e for e ≥ 0.75, and +inf): clamped.
+            const double want = std::pow(ratio, e);
+            if (want >= 1e150) {
+              EXPECT_EQ(out[i], 1e150) << at;
+            } else {
+              EXPECT_NEAR(out[i], want, 1e-13 * want) << at;
+            }
+            break;
+          }
+          case 6:
+            // Subnormal ratio: no mass under a relaxed exponent; classic
+            // mode keeps the exact quotient.
+            EXPECT_EQ(out[i], e == 1.0 ? ratio : 0.0) << at;
+            break;
+          default:
+            if (e == 1.0) {
+              EXPECT_EQ(out[i], ratio) << at;
+            } else {
+              EXPECT_NEAR(out[i], std::pow(ratio, e),
+                          2e-14 * std::pow(ratio, e))
+                  << at;
+            }
+            break;
+        }
+        const double change = std::fabs(out[i] - d.prev[i]);
+        if (change > expect_delta) expect_delta = change;  // NaN ignored
+      }
+      EXPECT_EQ(delta, expect_delta) << IsaName(isa) << " e=" << e;
+    }
+  }
+}
+
+TEST(SimdScalingTest, PolyLogMatchesLibmLog) {
+  // Whole normal range (geometric sweep), the neighbourhood of 1 where
+  // ln x → 0, and the √½ reduction boundary.
+  std::vector<double> xs = {std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::max(), 0.5, 1.0, 2.0,
+                            0.70710678118654752440, 0.7071067811865475,
+                            0.7071067811865476, 1.4142135623730951};
+  for (double x = 2.3e-308; x < 1e308; x *= 1.37) xs.push_back(x);
+  for (int k = -2000; k <= 2000; ++k) xs.push_back(1.0 + k * 1.3e-4);
+  for (int k = 1; k <= 60; ++k) {
+    xs.push_back(1.0 + std::ldexp(1.0, -k));
+    xs.push_back(1.0 - std::ldexp(1.0, -k));
+  }
+  double worst_ulps = 0.0;
+  for (const double x : xs) {
+    const double ref = std::log(x);
+    const double got = PolyLog(x);
+    if (ref == 0.0) {
+      EXPECT_EQ(got, 0.0) << "x=" << x;
+      continue;
+    }
+    const double ulps =
+        std::fabs(got - ref) /
+        (std::nextafter(std::fabs(ref), HUGE_VAL) - std::fabs(ref));
+    worst_ulps = std::max(worst_ulps, ulps);
+    EXPECT_LE(ulps, 2.0) << "x=" << x << " got " << got << " ref " << ref;
+  }
+  EXPECT_GT(worst_ulps, 0.0);  // the sweep really compared something
+}
+
+TEST(SimdScalingTest, PolyPowTracksLibmPow) {
+  // s^e as the scaling step evaluates it: PolyExp(e·PolyLog(s)). The
+  // relative error is the absolute error of e·ln s — its rounding plus
+  // PolyLog's ≤ 2 ulp — so it grows with |ln s| to ~1e-13 at the ends of
+  // the double range, and stays below 2e-15 for ratios within e^±5.
+  for (const double e : {50.0 / 50.1, 0.998, 0.5}) {
+    for (double s = 1e-300; s < 1e300; s *= 3.1) {
+      const double ref = std::pow(s, e);
+      const double got = PolyExp(e * PolyLog(s));
+      const double tol = std::fabs(std::log(s)) < 5.0 ? 2e-15 : 3e-13;
+      EXPECT_NEAR(got, ref, tol * ref) << "s=" << s << " e=" << e;
+    }
   }
 }
 

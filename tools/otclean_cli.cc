@@ -327,6 +327,13 @@ void PrintReport(const core::CiConstraint& constraint,
                static_cast<double>(report.plan_memory_bytes) / 1024.0,
                kernel_note.c_str(), report.sinkhorn_domain, report.precision,
                report.simd_isa);
+  if (std::strcmp(report.sinkhorn_domain, "n/a") != 0) {
+    std::fprintf(stderr,
+                 "  inner solves: %zu capped at the iteration limit; final "
+                 "outer delta %.3e, final inner tolerance %.3e\n",
+                 report.capped_inner_solves, report.final_outer_delta,
+                 report.final_inner_tolerance);
+  }
   if (!report.anneal_stages.empty()) {
     std::string stages;
     size_t stage_iterations = 0;
