@@ -36,6 +36,7 @@
 #include "common/timer.h"
 #include "linalg/precision.h"
 #include "linalg/simd.h"
+#include "linalg/thread_pool.h"
 #include "ot/sinkhorn.h"
 
 using namespace otclean;
@@ -133,6 +134,8 @@ void WriteJson(const std::string& path, const std::vector<BenchRow>& rows,
   std::fprintf(f, "{\n  \"bench\": \"epsilon_scaling\",\n");
   std::fprintf(f, "  \"isa\": \"%s\",\n", linalg::simd::ActiveIsaName());
   std::fprintf(f, "  \"single_thread\": true,\n");
+  std::fprintf(f, "  \"hardware_concurrency\": %zu,\n",
+               linalg::ResolveThreadCount(0));
   std::fprintf(f, "  \"iteration_gates_ok\": %s,\n",
                gates_ok ? "true" : "false");
   std::fprintf(f, "  \"results\": [\n");

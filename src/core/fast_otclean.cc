@@ -170,6 +170,7 @@ class KernelOuterLoop final : public OuterLoopKernel {
       out.v = std::move(s.lv);
       out.iterations = s.iterations;
       out.converged = s.converged;
+      out.omega = s.omega;
       return out;
     } else {
       return ot::RunSinkhornScaling(kernel(), p, q_cols, sink, warm_u, warm_v,
@@ -704,6 +705,7 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
     warm_v = std::move(sr.v);
     result.total_sinkhorn_iterations += sr.iterations;
     result.final_inner_tolerance = sink.tolerance;
+    result.final_inner_omega = sr.omega;
     if (!sr.converged) ++result.capped_inner_solves;
     result.objective_trace.push_back(kernel->TransportCost(warm_u, warm_v));
 

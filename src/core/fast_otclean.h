@@ -143,6 +143,9 @@ struct FastOtCleanResult {
   double final_outer_delta = 0.0;
   /// Tolerance the last inner solve ran at (see sinkhorn_tolerance).
   double final_inner_tolerance = 0.0;
+  /// Over-relaxation factor ω the last inner solve ended at (1 = plain
+  /// updates; see ot/overrelaxation.h).
+  double final_inner_omega = 1.0;
   /// CMI of the target w.r.t. the constraint (should be ~0).
   double target_cmi = 0.0;
   /// Final transport cost ⟨C, π⟩.

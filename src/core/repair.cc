@@ -40,6 +40,7 @@ void PopulateFastSolveReport(const FastOtCleanResult& r,
   report.capped_inner_solves = r.capped_inner_solves;
   report.final_outer_delta = r.final_outer_delta;
   report.final_inner_tolerance = r.final_inner_tolerance;
+  report.final_inner_omega = r.final_inner_omega;
   report.kernel_nnz = r.kernel_nnz;
   report.sinkhorn_domain = fast.log_domain ? "log" : "linear";
   report.precision = linalg::PrecisionName(fast.precision);

@@ -93,10 +93,12 @@ struct RepairReport {
   bool converged = false;
   /// FastOTClean convergence diagnostics (FastOtCleanResult): inner solves
   /// stopped by their iteration cap, the last outer step's TV delta of Q,
-  /// and the tolerance the last inner solve ran at. Zero for QCLP.
+  /// and the tolerance and over-relaxation factor ω of the last inner
+  /// solve. Zero (ω: 1) for QCLP.
   size_t capped_inner_solves = 0;
   double final_outer_delta = 0.0;
   double final_inner_tolerance = 0.0;
+  double final_inner_omega = 1.0;
   /// Plan storage diagnostics: CSR-backed plans (kernel_truncation > 0)
   /// report their structural nonzeros; dense plans report rows×cols.
   bool plan_sparse = false;

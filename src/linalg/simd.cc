@@ -306,10 +306,14 @@ OTCLEAN_NOVEC void ScalarAddExpWriteF32(double shift, const float* a,
 OTCLEAN_NOVEC double ScalarRelaxedScaling(const double* marginal,
                                           const double* denom,
                                           double exponent, const double* prev,
-                                          double* out, size_t n) {
+                                          double* out, size_t n,
+                                          const OverRelaxation& relax) {
   double delta = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    out[i] = RelaxedScale(marginal[i], denom[i], exponent);
+    out[i] = relax.omega == 1.0
+                 ? RelaxedScale(marginal[i], denom[i], exponent)
+                 : OverRelaxedScale(marginal[i], denom[i], exponent, prev[i],
+                                    relax.omega, relax.t_lo, relax.t_hi);
     const double d = std::fabs(out[i] - prev[i]);
     if (d > delta) delta = d;
   }
@@ -596,8 +600,9 @@ void AddExpWrite(double shift, const double* a, const double* b, double* out,
 
 double RelaxedScaling(const double* marginal, const double* denom,
                       double exponent, const double* prev, double* out,
-                      size_t n) {
-  return Active().relaxed_scaling(marginal, denom, exponent, prev, out, n);
+                      size_t n, const OverRelaxation& relax) {
+  return Active().relaxed_scaling(marginal, denom, exponent, prev, out, n,
+                                  relax);
 }
 
 double DotF32(const float* a, const double* b, size_t n) {

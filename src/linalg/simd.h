@@ -200,9 +200,21 @@ void GatherScaledHadamard(double s, const double* vals, const size_t* idx,
 /// clamp to 1e150. Per-element arithmetic and the max are exact
 /// functions of the inputs, so output AND return value are bit-identical
 /// across EVERY tier, scalar included. `out` must not alias `prev`.
+///
+/// `relax` over-relaxes the step (simd_exp.h OverRelaxedScale): with u*
+/// the plain update and t = ln(prev/u*), entries whose prev is a positive
+/// normal below 1e150 and whose t lies in [t_lo, t_hi] move to
+/// exp(ln prev + ω·(ln u* − ln prev)); every other entry takes the plain
+/// step. ω == 1 (the default) is exactly the plain update above. The
+/// over-relaxed element is equally bit-identical across tiers.
+struct OverRelaxation {
+  double omega = 1.0;
+  double t_lo = 0.0;
+  double t_hi = 0.0;
+};
 double RelaxedScaling(const double* marginal, const double* denom,
                       double exponent, const double* prev, double* out,
-                      size_t n);
+                      size_t n, const OverRelaxation& relax = {});
 
 // ------------------------------------------------- f32 kernel-tier lanes --
 //
@@ -366,7 +378,8 @@ struct SimdOps {
   void (*add_exp_write)(double, const double*, const double*, double*,
                         size_t);
   double (*relaxed_scaling)(const double*, const double*, double,
-                            const double*, double*, size_t);
+                            const double*, double*, size_t,
+                            const OverRelaxation&);
   // f32 kernel-tier lanes (float storage, double accumulation).
   double (*dot_f32)(const float*, const double*, size_t);
   double (*dot3_f32)(const double*, const float*, const double*, size_t);

@@ -29,7 +29,8 @@
 //    never hit this clamp.
 //
 // PolyLog is defined for positive, NORMAL, finite x only (its callers
-// zero every other lane first; see RelaxedScale below).
+// zero every other lane first; see RelaxedScale and OverRelaxedScale
+// below).
 
 #include <algorithm>
 #include <cmath>
@@ -178,6 +179,34 @@ inline double RelaxedScale(double marginal, double denom, double exponent) {
   }
   if (!(s >= 0.0)) return 0.0;  // NaN and negative: no mass
   return s < kScalingMax ? s : kScalingMax;
+}
+
+/// RelaxedScale over-relaxed in the log domain. With ln u* = e·PolyLog(s)
+/// the plain update and t = ln prev − ln u*, the result is
+/// PolyExp(ln u* + (1 − ω)·t) — i.e. ln u ← ln prev + ω·(ln u* − ln prev)
+/// — where prev is a positive normal potential below kScalingMax and t
+/// lies in the guard window [t_lo, t_hi]; every other entry takes the
+/// plain step PolyExp(ln u*) (for e < 1 exactly RelaxedScale's value). Zero,
+/// NaN, negative and subnormal ratios give 0 and results clamp to
+/// kScalingMax, as in RelaxedScale. The scalar tier's element, and the
+/// per-lane semantics of simd_impl.h's OverRelaxedLanes. (The comparisons
+/// `prev < kScalingMax` and `t <= t_hi` are written there as
+/// `kScalingMax − prev ≥ DBL_MIN` and `t_hi − t ≥ 0`; for finite t and
+/// prev ∈ [DBL_MIN, ∞) the two forms agree exactly.)
+inline double OverRelaxedScale(double marginal, double denom, double exponent,
+                               double prev, double omega, double t_lo,
+                               double t_hi) {
+  const double s = denom != 0.0 ? marginal / denom : 0.0;
+  if (!(s >= std::numeric_limits<double>::min())) return 0.0;
+  const double ls =
+      exponent * PolyLog(std::min(s, std::numeric_limits<double>::max()));
+  double x = ls;
+  if (prev >= std::numeric_limits<double>::min() && prev < kScalingMax) {
+    const double t = PolyLog(prev) - ls;
+    if (t >= t_lo && t <= t_hi) x = std::fma(1.0 - omega, t, ls);
+  }
+  const double r = PolyExp(x);
+  return r < kScalingMax ? r : kScalingMax;
 }
 
 }  // namespace otclean::linalg::simd

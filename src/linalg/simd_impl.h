@@ -67,7 +67,8 @@
 //                                              // else exact 0 (NaN x keeps v)
 //
 // from which LogPdImpl builds the shared PolyLog of simd_exp.h the same
-// way.
+// way (OverRelaxedLanes takes one more PolyLog, of the previous
+// potential, from the same ops).
 
 #include <cmath>
 #include <cstddef>
@@ -369,7 +370,33 @@ typename P::V LogPdImpl(typename P::V x) {
   return P::Fma(k, P::Set1(kPolyLogC1), P::Add(f, y));
 }
 
-/// out[i] = RelaxedScale(marginal[i], denom[i], exponent) (simd_exp.h),
+/// Lane-pack OverRelaxedScale (simd_exp.h) of the ratio lanes `s` against
+/// the previous potential lanes `pv`. The guard is a 0/1 flag lane: an
+/// entry outside it gets step coefficient 0 AND a zeroed t, so
+/// fma(0, 0, ln u*) returns ln u* exactly — the scalar element's plain
+/// step — even where ln prev is garbage (non-normal prev).
+template <class P>
+typename P::V OverRelaxedLanes(typename P::V s, typename P::V pv,
+                               double exponent, const OverRelaxation& relax) {
+  using V = typename P::V;
+  const V one = P::Set1(1.0);
+  const V min_normal = P::Set1(std::numeric_limits<double>::min());
+  const V ls = P::Mul(
+      P::Set1(exponent),
+      LogPdImpl<P>(P::Min(s, P::Set1(std::numeric_limits<double>::max()))));
+  const V t = P::Sub(LogPdImpl<P>(pv), ls);
+  V g = P::ZeroIfBelow(one, pv, min_normal);
+  g = P::ZeroIfBelow(g, P::Sub(P::Set1(kScalingMax), pv), min_normal);
+  g = P::ZeroIfBelow(g, t, P::Set1(relax.t_lo));
+  g = P::ZeroIfBelow(g, P::Sub(P::Set1(relax.t_hi), t), P::Zero());
+  const V x = P::Fma(P::Mul(g, P::Set1(1.0 - relax.omega)),
+                     P::ZeroIfBelow(t, g, one), ls);
+  const V r = P::Min(ExpPdImpl<P>(x), P::Set1(kScalingMax));
+  return P::ZeroIfBelow(r, s, min_normal);
+}
+
+/// out[i] = RelaxedScale(marginal[i], denom[i], exponent) (simd_exp.h) —
+/// or OverRelaxedScale(…, prev[i], relax) when relax.omega != 1 —
 /// returning max_i |out[i] − prev[i]| with NaN differences ignored — the
 /// Vector::NormInf of (out − prev), fused into the same pass. Every lane
 /// follows the scalar element's semantics exactly and max is exact, so
@@ -377,7 +404,7 @@ typename P::V LogPdImpl(typename P::V x) {
 template <class P>
 double RelaxedScalingImpl(const double* marginal, const double* denom,
                           double exponent, const double* prev, double* out,
-                          size_t n) {
+                          size_t n, const OverRelaxation& relax) {
   using V = typename P::V;
   constexpr size_t L = P::kLanes;
   const V zero = P::Zero();
@@ -386,13 +413,17 @@ double RelaxedScalingImpl(const double* marginal, const double* denom,
   const V max_finite = P::Set1(std::numeric_limits<double>::max());
   const V ev = P::Set1(exponent);
   const bool classic = exponent == 1.0;
+  const bool over = relax.omega != 1.0;
   V acc = zero;
   size_t i = 0;
   for (; i + L <= n; i += L) {
     const V d = P::Load(denom + i);
     const V s = P::ZeroIfZero(P::Div(P::Load(marginal + i), d), d);
+    const V pv = P::Load(prev + i);
     V r;
-    if (classic) {
+    if (over) {
+      r = OverRelaxedLanes<P>(s, pv, exponent, relax);
+    } else if (classic) {
       r = P::Min(P::ZeroIfBelow(s, s, zero), ceiling);
     } else {
       const V sc = P::Min(s, max_finite);
@@ -400,13 +431,14 @@ double RelaxedScalingImpl(const double* marginal, const double* denom,
       r = P::ZeroIfBelow(P::Min(r, ceiling), s, min_ratio);
     }
     P::Store(out + i, r);
-    const V pv = P::Load(prev + i);
     const V ad = P::Max(P::Sub(r, pv), P::Sub(pv, r));
     acc = P::Max(P::ZeroIfBelow(ad, ad, zero), acc);  // NaN Δ ignored
   }
   double delta = P::ReduceMax(acc);
   for (; i < n; ++i) {
-    out[i] = RelaxedScale(marginal[i], denom[i], exponent);
+    out[i] = over ? OverRelaxedScale(marginal[i], denom[i], exponent, prev[i],
+                                     relax.omega, relax.t_lo, relax.t_hi)
+                  : RelaxedScale(marginal[i], denom[i], exponent);
     const double d = std::fabs(out[i] - prev[i]);
     if (d > delta) delta = d;
   }

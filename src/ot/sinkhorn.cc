@@ -13,6 +13,7 @@
 #include "linalg/log_transport_kernel.h"
 #include "linalg/simd.h"
 #include "linalg/thread_pool.h"
+#include "ot/overrelaxation.h"
 
 namespace otclean::ot {
 
@@ -50,11 +51,12 @@ double RelaxedExponent(const SinkhornOptions& options) {
 
 /// THE convergence loop — every solver variant (dense, sparse, relaxed,
 /// linear- or log-domain) runs this one loop and differs only in its
-/// half-iteration updates. `row_update(v, u, new_u)` writes the next row
-/// potential from the current column potential (including any relaxed
-/// exponent and clamping) and returns its max-change against the previous
-/// row potential `u`; `col_update(new_u, v, new_v)` the converse. Fusing
-/// the change metric into the update pass is what keeps the loop free of
+/// half-iteration updates. `row_update(v, u, new_u, relax)` writes the next
+/// row potential from the current column potential (including any relaxed
+/// exponent, clamping and the over-relaxation `relax`) and returns its
+/// max-change against the previous row potential `u`;
+/// `col_update(new_u, v, new_v, relax)` the converse. Fusing the change
+/// metric into the update pass is what keeps the loop free of
 /// per-iteration temporaries.
 /// A non-OK return means the solve was aborted by the context's token or
 /// deadline — the stop is checked once per iteration, before
@@ -62,22 +64,50 @@ double RelaxedExponent(const SinkhornOptions& options) {
 /// and a completed loop is bit-identical to one run without the checks.
 /// The caller's ScopedStopFlag (installed around this loop) additionally
 /// lets pooled kernel dispatches drain mid-iteration once a token fires.
+/// Over-relaxation (ot/overrelaxation.h), relaxed mode only: ω starts at
+/// 1 and is re-estimated at every kOverRelaxationWindow-th iteration from
+/// the contraction of the max-change over the window's second half (the
+/// first half absorbs the transient of the previous change of ω); the
+/// guard window is recomputed whenever ω moves, and the final ω lands in
+/// `omega`. Every input to the estimate is a max-change, exact on every
+/// SIMD tier, so the ω sequence is as deterministic as the iterates.
+/// Classic (hard-marginal) mode keeps the plain update: its warm-start
+/// accelerator is ε-annealing (EpsilonSchedule), and on the regular
+/// problems bench_epsilon_scaling gates, an over-relaxed fixed-ε solve
+/// leaves annealing nothing to win.
 template <typename RowUpdate, typename ColUpdate>
 Status RunScalingLoop(linalg::Vector& u, linalg::Vector& v,
                       const SinkhornOptions& options, const ExecContext& ctx,
                       const char* where, size_t& iterations, bool& converged,
-                      RowUpdate&& row_update, ColUpdate&& col_update) {
+                      double& omega, RowUpdate&& row_update,
+                      ColUpdate&& col_update) {
   linalg::Vector new_u(u.size()), new_v(v.size());
+  linalg::simd::OverRelaxation relax;
+  double mark = 0.0;  // max-change at the middle of the current window
   for (size_t it = 0; it < options.max_iterations; ++it) {
     OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, where));
-    const double du = row_update(v, u, new_u);
-    const double dv = col_update(new_u, v, new_v);
+    const double du = row_update(v, u, new_u, relax);
+    const double dv = col_update(new_u, v, new_v, relax);
     std::swap(u, new_u);
     std::swap(v, new_v);
     iterations = it + 1;
+    omega = relax.omega;
     if (du <= options.tolerance && dv <= options.tolerance) {
       converged = true;
       return Status::OK();
+    }
+    if (!options.relaxed) continue;
+    const size_t phase = iterations % kOverRelaxationWindow;
+    if (phase == kOverRelaxationWindow / 2) {
+      mark = std::max(du, dv);
+    } else if (phase == 0 && mark > 0.0) {
+      const double rho =
+          std::pow(std::max(du, dv) / mark,
+                   1.0 / static_cast<double>(kOverRelaxationWindow / 2));
+      const double next = NextOverRelaxationFactor(relax.omega, rho);
+      if (next != relax.omega) {
+        relax = MakeOverRelaxation(next, options.lambda, options.epsilon);
+      }
     }
   }
   return Status::OK();
@@ -86,7 +116,10 @@ Status RunScalingLoop(linalg::Vector& u, linalg::Vector& v,
 /// One log-domain half-update, lp_i = λ'·(log marg_i − lse_i), fused with
 /// its change metric against the previous potential `prev`. A zero
 /// marginal or an unreachable entry keeps lp_i = −inf (the linear-domain
-/// 0/0 := 0 convention). Two −inf entries are an unchanged "no mass"
+/// 0/0 := 0 convention). Over-relaxation follows the linear element
+/// (simd_exp.h OverRelaxedScale) on log-potentials: with t = prev_i − lp_i
+/// finite and in the guard window, lp_i moves to lp_i + (1 − ω)·t. Two
+/// −inf entries are an unchanged "no mass"
 /// state (Δ = 0 for that coordinate), but a potential flipping between
 /// finite and −inf — mass appearing or disappearing under relaxed mode —
 /// is a real, infinite change: it must read as Δ = ∞, never be skipped,
@@ -94,13 +127,21 @@ Status RunScalingLoop(linalg::Vector& u, linalg::Vector& v,
 /// changed.
 double LogHalfUpdate(const linalg::Vector& log_marginal,
                      const linalg::Vector& lse, double exponent,
+                     const linalg::simd::OverRelaxation& relax,
                      const linalg::Vector& prev, linalg::Vector& next) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  const bool over = relax.omega != 1.0;
   double d = 0.0;
   for (size_t i = 0; i < next.size(); ++i) {
     next[i] = (log_marginal[i] == kNegInf || lse[i] == kNegInf)
                   ? kNegInf
                   : exponent * (log_marginal[i] - lse[i]);
+    if (over) {
+      const double t = prev[i] - next[i];
+      if (std::isfinite(t) && t >= relax.t_lo && t <= relax.t_hi) {
+        next[i] = std::fma(1.0 - relax.omega, t, next[i]);
+      }
+    }
     if (next[i] == prev[i]) continue;  // equal finites, and −inf vs −inf
     const double di = std::fabs(next[i] - prev[i]);
     d = std::isfinite(di) ? std::max(d, di) : kInf;
@@ -521,6 +562,7 @@ Result<SinkhornResult> RunSinkhornLogDomain(const linalg::Matrix& cost,
   ExpPotentials(scaling.lv, result.v);
   result.iterations = scaling.iterations;
   result.converged = scaling.converged;
+  result.omega = scaling.omega;
   result.anneal_stages = std::move(anneal.stages);
   session.Finish(result.u, result.v, result.iterations, result.converged);
   return result;
@@ -567,24 +609,22 @@ Result<SinkhornScaling> RunSinkhornScaling(
   // preallocated buffer.
   OTCLEAN_RETURN_NOT_OK(RunScalingLoop(
       out.u, out.v, options, ctx, "RunSinkhornScaling", out.iterations,
-      out.converged,
+      out.converged, out.omega,
       /*row_update=*/
       [&](const linalg::Vector& v, const linalg::Vector& u,
-          linalg::Vector& next_u) {
+          linalg::Vector& next_u, const linalg::simd::OverRelaxation& relax) {
         kernel.Apply(v, kv);
-        return linalg::simd::RelaxedScaling(p.data().data(),
-                                            kv.data().data(), exponent,
-                                            u.data().data(),
-                                            next_u.data().data(), m);
+        return linalg::simd::RelaxedScaling(
+            p.data().data(), kv.data().data(), exponent, u.data().data(),
+            next_u.data().data(), m, relax);
       },
       /*col_update=*/
       [&](const linalg::Vector& u, const linalg::Vector& v,
-          linalg::Vector& next_v) {
+          linalg::Vector& next_v, const linalg::simd::OverRelaxation& relax) {
         kernel.ApplyTranspose(u, ktu);
-        return linalg::simd::RelaxedScaling(q.data().data(),
-                                            ktu.data().data(), exponent,
-                                            v.data().data(),
-                                            next_v.data().data(), n);
+        return linalg::simd::RelaxedScaling(
+            q.data().data(), ktu.data().data(), exponent, v.data().data(),
+            next_v.data().data(), n, relax);
       }));
   return out;
 }
@@ -627,18 +667,18 @@ Result<SinkhornLogScaling> RunSinkhornLogScaling(
   // LSE streamed by the kernel (see LogHalfUpdate for the −inf rules).
   OTCLEAN_RETURN_NOT_OK(RunScalingLoop(
       out.lu, out.lv, options, ctx, "RunSinkhornLogScaling", out.iterations,
-      out.converged,
+      out.converged, out.omega,
       /*row_update=*/
       [&](const linalg::Vector& lvv, const linalg::Vector& luu,
-          linalg::Vector& next_lu) {
+          linalg::Vector& next_lu, const linalg::simd::OverRelaxation& relax) {
         kernel.LogApply(lvv, lse_rows);
-        return LogHalfUpdate(log_p, lse_rows, exponent, luu, next_lu);
+        return LogHalfUpdate(log_p, lse_rows, exponent, relax, luu, next_lu);
       },
       /*col_update=*/
       [&](const linalg::Vector& luu, const linalg::Vector& lvv,
-          linalg::Vector& next_lv) {
+          linalg::Vector& next_lv, const linalg::simd::OverRelaxation& relax) {
         kernel.LogApplyTranspose(luu, lse_cols);
-        return LogHalfUpdate(log_q, lse_cols, exponent, lvv, next_lv);
+        return LogHalfUpdate(log_q, lse_cols, exponent, relax, lvv, next_lv);
       }));
   return out;
 }
@@ -700,6 +740,7 @@ Result<SinkhornResult> RunSinkhorn(const linalg::Matrix& cost,
   result.v = std::move(scaling.v);
   result.iterations = scaling.iterations;
   result.converged = scaling.converged;
+  result.omega = scaling.omega;
   result.anneal_stages = std::move(anneal.stages);
   session.Finish(result.u, result.v, result.iterations, result.converged);
   return result;
@@ -835,6 +876,7 @@ Result<SparseSinkhornResult> SolveSparse(
     ExpPotentials(scaling.lv, result.v);
     result.iterations = scaling.iterations;
     result.converged = scaling.converged;
+    result.omega = scaling.omega;
   } else {
     OTCLEAN_ASSIGN_OR_RETURN(
         SinkhornScaling scaling,
@@ -845,6 +887,7 @@ Result<SparseSinkhornResult> SolveSparse(
     result.v = std::move(scaling.v);
     result.iterations = scaling.iterations;
     result.converged = scaling.converged;
+    result.omega = scaling.omega;
   }
   session.Finish(result.u, result.v, result.iterations, result.converged);
   return result;

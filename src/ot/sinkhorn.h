@@ -152,6 +152,7 @@ struct SinkhornResult {
   linalg::Vector v;     ///< column scaling.
   size_t iterations = 0;  ///< final-ε iterations (annealing stages excluded)
   bool converged = false;
+  double omega = 1.0;  ///< final over-relaxation factor (1 = plain updates)
   double transport_cost = 0.0;  ///< ⟨C, π⟩.
   /// Per-stage records when an EpsilonSchedule ran; empty otherwise.
   std::vector<EpsilonAnnealStage> anneal_stages;
@@ -164,6 +165,9 @@ struct SinkhornScaling {
   linalg::Vector v;
   size_t iterations = 0;
   bool converged = false;
+  /// Over-relaxation factor of the last iteration (ot/overrelaxation.h);
+  /// 1 when the solve never left the plain update.
+  double omega = 1.0;
 };
 
 /// The single linear-domain engine loop, usable with any TransportKernel
@@ -194,6 +198,7 @@ struct SinkhornLogScaling {
   linalg::Vector lv;
   size_t iterations = 0;
   bool converged = false;
+  double omega = 1.0;  ///< as SinkhornScaling::omega
 };
 
 /// The log-domain twin of RunSinkhornScaling: the same RunScalingLoop
@@ -241,6 +246,7 @@ struct SparseSinkhornResult {
   linalg::Vector v;
   size_t iterations = 0;  ///< final-ε iterations (annealing stages excluded)
   bool converged = false;
+  double omega = 1.0;  ///< final over-relaxation factor (1 = plain updates)
   double transport_cost = 0.0;
   /// Per-stage records when an EpsilonSchedule ran; empty otherwise.
   std::vector<EpsilonAnnealStage> anneal_stages;

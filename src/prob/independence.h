@@ -42,8 +42,12 @@ double MutualInformation(const JointDistribution& p,
 /// Approximate projection onto the intersection of several CI constraints
 /// by cyclic I-projections (iterative proportional fitting style): sweeps
 /// over the constraints, projecting onto each in turn, until the largest
-/// CMI falls below `tol` or `max_sweeps` is exhausted. For a single
-/// constraint this reduces to CiProjection. The intersection is non-empty
+/// CMI falls below `tol` or `max_sweeps` is exhausted. A single constraint
+/// needs more than one CiProjection when P has zero cells: CiProjection
+/// carries P(rest | x,y,z), which keeps those cells at zero, so its output
+/// is generally not yet independent and the sweeps repeat — up to
+/// `max_sweeps` when the zero pattern admits no CI-consistent fill.
+/// The intersection is non-empty
 /// (product distributions satisfy every CI), so the iteration is always
 /// well-defined; convergence to the exact KL-closest point holds when the
 /// constraints' closures form a compatible (e.g. decomposable) set.

@@ -274,7 +274,10 @@ TEST(FaultInjectionTest, WorkerDelayAloneChangesNothing) {
 }
 
 TEST(FaultInjectionTest, WorkerDelayPlusTightDeadlineExpiresCleanly) {
-  const dataset::Table table = MakeViolatingTable(45, /*rows=*/500);
+  // A 32-value Z gives a kernel above the parallel grain, so the solve
+  // dispatches on the pool and the delay really fires.
+  const dataset::Table table =
+      MakeViolatingTable(45, /*rows=*/500, /*num_z_attrs=*/1, /*z_card=*/32);
   FaultInjector inj;
   inj.Arm(FaultSite::kWorkerDelay, 1, /*sticky=*/true);
   ScopedPoolDelayHook hook(inj, /*millis=*/10);
@@ -289,6 +292,7 @@ TEST(FaultInjectionTest, WorkerDelayPlusTightDeadlineExpiresCleanly) {
       RepairTable(table, XyGivenZ(), opts, /*cost=*/nullptr, ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GT(inj.hits(FaultSite::kWorkerDelay), 0u);
 }
 
 // ------------------------------------------------------ scheduler plumbing --

@@ -365,5 +365,31 @@ TEST(IndependenceTest, ZeroMeasureHasZeroCmi) {
   EXPECT_DOUBLE_EQ(ConditionalMutualInformation(p, ci), 0.0);
 }
 
+TEST(MultiCiProjectionTest, OneSpecRepeatsCiProjectionWhileZerosBlockIndependence) {
+  // Zero cells survive CiProjection (it carries P(rest | x,y,z), which is
+  // 0 on an empty (x,y,z) cell of a saturated spec), so a single spec is
+  // not done after one projection: one sweep equals one CiProjection bit
+  // for bit, and further sweeps keep lowering the CMI.
+  const Domain dom = Domain::FromCardinalities({2, 3, 2});
+  JointDistribution p(dom);
+  for (size_t i = 0; i < p.size(); ++i) {
+    p[i] = (i % 5 == 0) ? 0.0 : 1.0 + static_cast<double>((i * 7) % 11);
+  }
+  p.Normalize();
+  const CiSpec ci{{0}, {1}, {2}};
+  const JointDistribution once = CiProjection(p, ci);
+  const JointDistribution one_sweep = MultiCiProjection(p, {ci}, 1);
+  for (size_t i = 0; i < p.size(); ++i) EXPECT_EQ(one_sweep[i], once[i]) << i;
+  const double cmi_once = ConditionalMutualInformation(once, ci);
+  EXPECT_GT(cmi_once, 1e-10);
+  const JointDistribution many = MultiCiProjection(p, {ci}, 40);
+  EXPECT_LT(ConditionalMutualInformation(many, ci), cmi_once);
+  for (size_t i = 0; i < p.size(); ++i) {
+    if (p[i] == 0.0) {
+      EXPECT_EQ(many[i], 0.0) << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace otclean::prob

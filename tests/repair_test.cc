@@ -3,7 +3,9 @@
 #include <limits>
 
 #include "core/repair.h"
+#include "datagen/datasets.h"
 #include "datagen/synthetic.h"
+#include "ot/overrelaxation.h"
 
 namespace otclean::core {
 namespace {
@@ -204,6 +206,33 @@ TEST(RepairTest, ReportCarriesInnerSolveDiagnostics) {
   EXPECT_EQ(report.capped_inner_solves, 4u);
   EXPECT_GT(report.final_outer_delta, 0.0);
   EXPECT_GE(report.final_inner_tolerance, opts.fast.sinkhorn_tolerance);
+}
+
+TEST(RepairTest, ReportCarriesTheFinalOverRelaxationFactor) {
+  // A slow relaxed inner solve tunes ω above 1 (below the cap), and the
+  // report carries the last solve's value; solves capped at one window
+  // never leave the plain update.
+  const auto table = MakeViolatingTable(301);
+  RepairOptions opts;
+  opts.fast.max_outer_iterations = 1;
+  const auto slow = RepairTable(table, XyGivenZ(), opts).value();
+  EXPECT_GT(slow.final_inner_omega, 1.0);
+  EXPECT_LE(slow.final_inner_omega, ot::kMaxOverRelaxation);
+  opts.fast.max_sinkhorn_iterations = ot::kOverRelaxationWindow;
+  const auto short_solves = RepairTable(table, XyGivenZ(), opts).value();
+  EXPECT_EQ(short_solves.final_inner_omega, 1.0);
+}
+
+TEST(RepairTest, DefaultFairnessRepairInnerIterationsStayPinned) {
+  // Deterministic count of the over-relaxed inner solves on the
+  // compas-fair workload's first table at default options: 44,752 inner
+  // iterations over 300 outer steps when this test was written (44,753 on
+  // the scalar tier), against 463,531 with the plain update.
+  const auto bundle = datagen::MakeCompas(3000, 907).value();
+  const auto report = RepairTable(bundle.table, bundle.constraint).value();
+  EXPECT_LE(report.total_sinkhorn_iterations, 50000u);
+  EXPECT_EQ(report.capped_inner_solves, 0u);
+  EXPECT_GT(report.final_inner_omega, 1.0);
 }
 
 TEST(RepairTest, InvalidRegularizationIsNotRetried) {

@@ -459,6 +459,151 @@ TEST(SimdScalingTest, PolyPowTracksLibmPow) {
   }
 }
 
+/// Over-relaxation settings for the scaling-step tests: the guard windows
+/// of typical factors (t_hi = +inf as for every ε ≤ λ), and one with a
+/// finite upper edge.
+const OverRelaxation kRelaxations[] = {
+    {1.5, -1.25, std::numeric_limits<double>::infinity()},
+    {1.9, -0.33, std::numeric_limits<double>::infinity()},
+    {1.3, -2.0, 3.0}};
+
+/// MakeScalingData's edge lanes (ratio 0, NaN, past the ceiling, subnormal,
+/// infinite, negative) with previous potentials placed for the guard:
+/// most lanes within a factor e^{-0.5..2} of the plain update u* (so they
+/// straddle t_lo and take the over-relaxed step), plus lanes whose prev is
+/// zero, subnormal, the 1e150 ceiling, negative, NaN, or far off u*.
+ScalingData MakeOverRelaxedData(size_t n, uint64_t seed, double e) {
+  ScalingData d = MakeScalingData(n, seed);
+  Rng rng(seed + 7);
+  for (size_t i = 0; i < n; ++i) {
+    const double plain = std::pow(d.marginal[i] / d.denom[i], e);
+    switch (i % 13) {
+      case 1: d.prev[i] = 0.0; break;
+      case 2: d.prev[i] = 1e-310; break;
+      case 3: d.prev[i] = kScalingMax; break;
+      case 4: d.prev[i] = -1.0; break;
+      case 5: d.prev[i] = 1e-300; break;
+      case 6: d.prev[i] = 1e140; break;
+      default:
+        if (d.prev[i] == d.prev[i] && std::isnormal(plain)) {  // keep NaNs
+          d.prev[i] = plain * std::exp(2.5 * rng.NextDouble() - 0.5);
+        }
+        break;
+    }
+  }
+  return d;
+}
+
+TEST(SimdScalingTest, OverRelaxedScalingIsBitIdenticalAcrossTiers) {
+  for (const size_t n : kSizes) {
+    for (const double e : kScalingExponents) {
+      const ScalingData d = MakeOverRelaxedData(n, 17 + n, e);
+      for (const OverRelaxation& relax : kRelaxations) {
+        std::vector<double> ref(n);
+        double ref_delta = 0.0;
+        {
+          ScopedIsa scoped(Isa::kScalar);
+          ref_delta = RelaxedScaling(d.marginal.data(), d.denom.data(), e,
+                                     d.prev.data(), ref.data(), n, relax);
+        }
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(ref[i],
+                    OverRelaxedScale(d.marginal[i], d.denom[i], e, d.prev[i],
+                                     relax.omega, relax.t_lo, relax.t_hi))
+              << "scalar tier vs element, n=" << n << " i=" << i;
+        }
+        for (Isa isa : VectorIsas()) {
+          ScopedIsa scoped(isa);
+          std::vector<double> out(n, -7.0);
+          const double delta =
+              RelaxedScaling(d.marginal.data(), d.denom.data(), e,
+                             d.prev.data(), out.data(), n, relax);
+          EXPECT_EQ(delta, ref_delta)
+              << IsaName(isa) << " n=" << n << " e=" << e;
+          for (size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(out[i], ref[i]) << IsaName(isa) << " n=" << n
+                                      << " e=" << e << " ω=" << relax.omega
+                                      << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdScalingTest, OverRelaxedScalingFollowsTheGuardInEveryTier) {
+  const size_t n = 52;  // every edge lane lands in vector bodies and tails
+  for (Isa isa : SupportedIsas()) {
+    ScopedIsa scoped(isa);
+    for (const double e : kScalingExponents) {
+      const ScalingData d = MakeOverRelaxedData(n, 3, e);
+      for (const OverRelaxation& relax : kRelaxations) {
+        std::vector<double> out(n);
+        RelaxedScaling(d.marginal.data(), d.denom.data(), e, d.prev.data(),
+                       out.data(), n, relax);
+        size_t relaxed_lanes = 0;
+        for (size_t i = 0; i < n; ++i) {
+          const std::string at = std::string(IsaName(isa)) +
+                                 " e=" + std::to_string(e) +
+                                 " ω=" + std::to_string(relax.omega) +
+                                 " i=" + std::to_string(i);
+          const double s =
+              d.denom[i] != 0.0 ? d.marginal[i] / d.denom[i] : 0.0;
+          if (!(s >= std::numeric_limits<double>::min())) {
+            // No denominator, no mass, NaN, negative, subnormal: +0.
+            EXPECT_EQ(out[i], 0.0) << at;
+            EXPECT_FALSE(std::signbit(out[i])) << at;
+            continue;
+          }
+          const double ls = e * std::log(std::min(
+                                    s, std::numeric_limits<double>::max()));
+          const double prev = d.prev[i];
+          const bool usable = prev >= std::numeric_limits<double>::min() &&
+                              prev < kScalingMax;
+          const double t = usable ? std::log(prev) - ls : 0.0;
+          const bool inside = usable && t >= relax.t_lo && t <= relax.t_hi;
+          // Lanes a few ulp from a window edge may fall either way.
+          if (usable && (std::fabs(t - relax.t_lo) < 1e-9 ||
+                         std::fabs(t - relax.t_hi) < 1e-9)) {
+            continue;
+          }
+          const double x = inside ? ls + (1.0 - relax.omega) * t : ls;
+          const double want = std::min(std::exp(x), kScalingMax);
+          if (want >= kScalingMax) {
+            EXPECT_EQ(out[i], kScalingMax) << at;
+          } else if (want < 1e-300) {
+            EXPECT_LE(out[i], 1e-299) << at;
+          } else {
+            // e·ln s carries the ~1e-13 relative error of PolyLog at the
+            // ends of the double range; |ln s| ≤ 20 here.
+            EXPECT_NEAR(out[i], want, 1e-12 * want) << at;
+          }
+          if (inside) ++relaxed_lanes;
+        }
+        EXPECT_GT(relaxed_lanes, 4u) << IsaName(isa) << " e=" << e;
+      }
+    }
+  }
+}
+
+TEST(SimdScalingTest, UnitOmegaIsThePlainUpdate) {
+  const size_t n = 100;
+  const ScalingData d = MakeOverRelaxedData(n, 9, 0.998);
+  for (Isa isa : SupportedIsas()) {
+    ScopedIsa scoped(isa);
+    for (const double e : kScalingExponents) {
+      std::vector<double> plain(n), unit(n);
+      const double dp = RelaxedScaling(d.marginal.data(), d.denom.data(), e,
+                                       d.prev.data(), plain.data(), n);
+      const double du = RelaxedScaling(d.marginal.data(), d.denom.data(), e,
+                                       d.prev.data(), unit.data(), n,
+                                       OverRelaxation{1.0, -1.0, 1.0});
+      EXPECT_EQ(dp, du) << IsaName(isa);
+      EXPECT_EQ(plain, unit) << IsaName(isa) << " e=" << e;
+    }
+  }
+}
+
 // ------------------------------------------------------------- f32 tier --
 
 TEST(SimdF32Test, F32LaneRecipesMatchScalarWithinUlps) {

@@ -330,9 +330,10 @@ void PrintReport(const core::CiConstraint& constraint,
   if (std::strcmp(report.sinkhorn_domain, "n/a") != 0) {
     std::fprintf(stderr,
                  "  inner solves: %zu capped at the iteration limit; final "
-                 "outer delta %.3e, final inner tolerance %.3e\n",
+                 "outer delta %.3e, final inner tolerance %.3e, final "
+                 "over-relaxation %.4f\n",
                  report.capped_inner_solves, report.final_outer_delta,
-                 report.final_inner_tolerance);
+                 report.final_inner_tolerance, report.final_inner_omega);
   }
   if (!report.anneal_stages.empty()) {
     std::string stages;
