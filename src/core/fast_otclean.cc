@@ -112,19 +112,32 @@ class KernelOuterLoop final : public OuterLoopKernel {
   static constexpr bool kSparse =
       IsSparseStorage<typename Kernel::Storage>::value;
 
-  /// `cache` (nullable) with an invalid `key` is a silent no-op, so the
-  /// uncached construction path is unchanged. A hit adopts the cached
-  /// storage — the same bytes the miss built, hence bit-identical
-  /// arithmetic; a miss builds and publishes it with its companions.
-  KernelOuterLoop(const linalg::CostProvider& cost,
-                  const FastOtCleanOptions& options, linalg::ThreadPool* pool,
-                  SolveCache* cache, const SolveCacheKey& key)
-      : acquired_(AcquireKernel<Kernel>(
-            cache, key, options.num_threads, pool,
-            [&](CachedKernel& entry) {
-              return Build(cost, options, pool, entry);
-            })),
-        cost_(cost) {
+  /// Finds or builds the kernel. `cache` (nullable) with an invalid `key`
+  /// is a silent no-op, so the uncached construction path is unchanged. A
+  /// hit adopts the cached storage — the same bytes the miss built, hence
+  /// bit-identical arithmetic — and streams no cost. A miss builds it,
+  /// checking every streamed cost for finiteness (`where` names the repair
+  /// in the error), and publishes it with its companions; a rejected build
+  /// publishes nothing. `poison` (FaultSite::kKernelNan, never cached)
+  /// swaps the checked kernel for Poisoned's.
+  static Result<std::unique_ptr<const OuterLoopKernel>> Create(
+      const char* where, const linalg::CostProvider& cost,
+      const FastOtCleanOptions& options, linalg::ThreadPool* pool,
+      SolveCache* cache, const SolveCacheKey& key, bool poison) {
+    OTCLEAN_ASSIGN_OR_RETURN(
+        AcquiredKernel<Kernel> acquired,
+        AcquireKernel<Kernel>(cache, key, options.num_threads, pool,
+                              [&](CachedKernel& entry) {
+                                return Build(where, cost, options, pool,
+                                             poison, entry);
+                              }));
+    return std::unique_ptr<const OuterLoopKernel>(
+        new KernelOuterLoop(std::move(acquired), cost));
+  }
+
+  KernelOuterLoop(AcquiredKernel<Kernel> acquired,
+                  const linalg::CostProvider& cost)
+      : acquired_(std::move(acquired)), cost_(cost) {
     // A hit on an entry published without the companion rebuilds it here.
     CachedKernel& entry = acquired_.entry;
     if constexpr (kSparse) {
@@ -224,26 +237,65 @@ class KernelOuterLoop final : public OuterLoopKernel {
   }
 
  private:
-  /// The miss path: builds the kernel and records its companion in `entry`
-  /// so both are published together.
-  static Kernel Build(const linalg::CostProvider& cost,
-                      const FastOtCleanOptions& options,
-                      linalg::ThreadPool* pool, CachedKernel& entry) {
-    if constexpr (kSparse) {
-      Kernel kernel =
-          Kernel::FromCost(cost, options.epsilon, options.kernel_truncation,
-                           options.num_threads, pool);
-      entry.support_costs = std::make_shared<const std::vector<double>>(
-          kernel.GatherSupportCosts(cost));
-      return kernel;
-    } else if constexpr (kLog) {
-      return Kernel::FromCost(cost, options.epsilon, options.num_threads,
-                              pool);
-    } else {
+  /// The miss path: builds the kernel with the finite-cost check on and
+  /// records its companion in `entry` so both are published together.
+  static Result<Kernel> Build(const char* where,
+                              const linalg::CostProvider& cost,
+                              const FastOtCleanOptions& options,
+                              linalg::ThreadPool* pool, bool poison,
+                              CachedKernel& entry) {
+    const size_t threads = options.num_threads;
+    if constexpr (!kSparse && !kLog) {
       entry.dense_cost = std::make_shared<const linalg::Matrix>(
           linalg::MaterializeCostMatrix(cost));
-      return Kernel::FromCost(*entry.dense_cost, options.epsilon,
-                              options.num_threads, pool);
+    }
+    OTCLEAN_ASSIGN_OR_RETURN(
+        Kernel kernel,
+        ot::BuildCheckedKernel(where, [&](linalg::NonFiniteCost* non_finite) {
+          if constexpr (kSparse) {
+            return Kernel::FromCost(cost, options.epsilon,
+                                    options.kernel_truncation, threads, pool,
+                                    non_finite);
+          } else if constexpr (kLog) {
+            return Kernel::FromCost(cost, options.epsilon, threads, pool,
+                                    non_finite);
+          } else {
+            return Kernel::FromCost(*entry.dense_cost, options.epsilon,
+                                    threads, pool, non_finite);
+          }
+        }));
+    if (poison) kernel = Poisoned(kernel, options, pool);
+    if constexpr (kSparse) {
+      entry.support_costs = std::make_shared<const std::vector<double>>(
+          kernel.GatherSupportCosts(cost));
+    }
+    return kernel;
+  }
+
+  /// FaultSite::kKernelNan: the kernel an all-NaN cost builds — every
+  /// dense entry NaN (e^{−NaN/ε} linear, −NaN/ε log), no truncated entry
+  /// kept (NaN ≥ cutoff is false) — modelling a build whose arithmetic
+  /// blew up wholesale. It replaces a build that passed the finite-cost
+  /// check, so the NaN reaches the solve the way a runtime numeric
+  /// blow-up would instead of being rejected at the door. (A single
+  /// poisoned entry would not do: the scaling loop's per-iteration
+  /// clamping quarantines an isolated NaN by zeroing its row, and the
+  /// solve limps to a wrong-but-finite answer — the failure under test is
+  /// the deterministic endpoint where the plan loses all mass.)
+  static Kernel Poisoned(const Kernel& built,
+                         const FastOtCleanOptions& options,
+                         linalg::ThreadPool* pool) {
+    const size_t m = built.rows();
+    const size_t n = built.cols();
+    if constexpr (kSparse) {
+      return Kernel(typename Kernel::Csr(linalg::SparseMatrix(m, n)),
+                    options.num_threads, pool);
+    } else {
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      const double entry = kLog ? -nan / options.epsilon
+                                : std::exp(-nan / options.epsilon);
+      return Kernel(typename Kernel::Storage(linalg::Matrix(m, n, entry)),
+                    options.num_threads, pool);
     }
   }
 
@@ -254,34 +306,31 @@ class KernelOuterLoop final : public OuterLoopKernel {
   const linalg::CostProvider& cost_;
 };
 
-/// Builds the outer-loop kernel for `options`: the shape from the
+/// Finds or builds the outer-loop kernel for `options`: the shape from the
 /// truncation and domain flags, the storage scalar from the precision.
-std::unique_ptr<const OuterLoopKernel> MakeOuterLoopKernel(
-    const linalg::CostProvider& cost, const FastOtCleanOptions& options,
-    linalg::ThreadPool* pool, SolveCache* cache, const SolveCacheKey& key) {
+Result<std::unique_ptr<const OuterLoopKernel>> MakeOuterLoopKernel(
+    const char* where, const linalg::CostProvider& cost,
+    const FastOtCleanOptions& options, linalg::ThreadPool* pool,
+    SolveCache* cache, const SolveCacheKey& key, bool poison) {
   return linalg::WithKernelScalar(
       options.precision,
-      [&](auto scalar) -> std::unique_ptr<const OuterLoopKernel> {
+      [&](auto scalar) -> Result<std::unique_ptr<const OuterLoopKernel>> {
         using T = decltype(scalar);
         const bool truncated = options.kernel_truncation > 0.0;
         if (options.log_domain && truncated) {
-          return std::make_unique<
-              KernelOuterLoop<linalg::BasicSparseLogTransportKernel<T>>>(
-              cost, options, pool, cache, key);
+          return KernelOuterLoop<linalg::BasicSparseLogTransportKernel<T>>::
+              Create(where, cost, options, pool, cache, key, poison);
         }
         if (options.log_domain) {
-          return std::make_unique<
-              KernelOuterLoop<linalg::BasicDenseLogTransportKernel<T>>>(
-              cost, options, pool, cache, key);
+          return KernelOuterLoop<linalg::BasicDenseLogTransportKernel<T>>::
+              Create(where, cost, options, pool, cache, key, poison);
         }
         if (truncated) {
-          return std::make_unique<
-              KernelOuterLoop<linalg::BasicSparseTransportKernel<T>>>(
-              cost, options, pool, cache, key);
+          return KernelOuterLoop<linalg::BasicSparseTransportKernel<T>>::
+              Create(where, cost, options, pool, cache, key, poison);
         }
-        return std::make_unique<
-            KernelOuterLoop<linalg::BasicDenseTransportKernel<T>>>(
-            cost, options, pool, cache, key);
+        return KernelOuterLoop<linalg::BasicDenseTransportKernel<T>>::Create(
+            where, cost, options, pool, cache, key, poison);
       });
 }
 
@@ -295,43 +344,6 @@ void MaybeInjectAllocFailure(FaultInjector* injector) {
     throw std::bad_alloc();
   }
 }
-
-/// FaultSite::kKernelNan: a cost view that poisons *every* entry with NaN,
-/// modelling a kernel build whose arithmetic blew up wholesale. Installed
-/// *after* ValidateFiniteCosts, so the NaN reaches the kernel build the way
-/// a runtime numeric blow-up would instead of being rejected at the door.
-/// (A single poisoned cell would not do: the scaling loop's per-iteration
-/// clamping quarantines an isolated NaN by zeroing its row, and the solve
-/// limps to a wrong-but-finite answer — the failure under test is the
-/// deterministic endpoint where the plan loses all mass.) AsMatrix() stays
-/// null so no dense fast path can bypass the poison.
-class NanPoisonedCostView final : public linalg::CostProvider {
- public:
-  explicit NanPoisonedCostView(const linalg::CostProvider& inner)
-      : inner_(inner) {}
-
-  size_t rows() const override { return inner_.rows(); }
-  size_t cols() const override { return inner_.cols(); }
-
-  double At(size_t, size_t) const override {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-
-  void Fill(size_t, size_t c0, size_t c1, double* out) const override {
-    for (size_t k = 0; k < c1 - c0; ++k) {
-      out[k] = std::numeric_limits<double>::quiet_NaN();
-    }
-  }
-
-  void Gather(size_t, const size_t*, size_t n, double* out) const override {
-    for (size_t k = 0; k < n; ++k) {
-      out[k] = std::numeric_limits<double>::quiet_NaN();
-    }
-  }
-
- private:
-  const linalg::CostProvider& inner_;
-};
 
 /// Stable identity of a FastOTClean solve's restricted cost stream. The
 /// cost fingerprint alone is not enough: the kernel's values depend on
@@ -607,25 +619,17 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
   for (size_t i = 0; i < row_cells.size(); ++i) p[i] = p_data[row_cells[i]];
 
   const ot::FunctionCostProvider cost_view(dom, row_cells, col_cells, cost);
-  // The same finite-cost guard RunSinkhorn/RunSinkhornSparse apply: a NaN
-  // or ±inf from a user cost function would otherwise be silently
-  // truncated away (NaN >= cutoff is false) or flushed to 0 by the log
-  // kernels — and NaN kernel entries void the SIMD max-reduction
-  // contract. One extra streaming pass per repair; the iterations
-  // dominate.
-  OTCLEAN_RETURN_NOT_OK(ot::ValidateFiniteCosts(where, cost_view));
+  // Costs are checked for finiteness inside the kernel build below (a NaN
+  // or ±inf from a user cost function would otherwise be truncated away or
+  // flushed to 0 by the kernels); a cache hit streams none.
   OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, where));
 
-  // kKernelNan fires here — past validation, so the NaN reaches the kernel
-  // build exactly like a runtime numeric blow-up would. A poisoned solve
-  // bypasses the cache entirely (fast_fp stays 0 below): a poisoned kernel
-  // must never be published under the clean cost's key.
+  // kKernelNan poisons the kernel after its build passed that check, so
+  // the NaN reaches the solve exactly like a runtime numeric blow-up would.
+  // A poisoned solve bypasses the cache entirely (fast_fp stays 0 below): a
+  // poisoned kernel must never be published under the clean cost's key.
   const bool poison_kernel =
       ctx.faults != nullptr && ctx.faults->ShouldFire(FaultSite::kKernelNan);
-  const NanPoisonedCostView poisoned_view(cost_view);
-  const linalg::CostProvider& build_view =
-      poison_kernel ? static_cast<const linalg::CostProvider&>(poisoned_view)
-                    : static_cast<const linalg::CostProvider&>(cost_view);
 
   // Initial target distribution Q (Section 5, default optimization 2).
   prob::JointDistribution q(dom);
@@ -660,8 +664,10 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
   const SolveCacheKey cache_key =
       MakeFastCacheKey(fast_fp, row_cells, col_cells, options);
   MaybeInjectAllocFailure(ctx.faults);
-  const std::unique_ptr<const OuterLoopKernel> kernel = MakeOuterLoopKernel(
-      build_view, options, pool, options.solve_cache, cache_key);
+  OTCLEAN_ASSIGN_OR_RETURN(
+      const std::unique_ptr<const OuterLoopKernel> kernel,
+      MakeOuterLoopKernel(where, cost_view, options, pool,
+                          options.solve_cache, cache_key, poison_kernel));
   OTCLEAN_RETURN_NOT_OK(kernel->CheckSupport(p, where));
 
   FastOtCleanResult result;
@@ -676,7 +682,7 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
       options.solve_cache, cache_key, options, p.size(), col_cells.size(),
       kernel->log_domain(), warm_u, warm_v, warm_cold_baseline);
   OTCLEAN_RETURN_NOT_OK(MaybeAnnealFirstSolve(
-      build_view, p, q, col_cells, options, sink, fast_fp,
+      cost_view, p, q, col_cells, options, sink, fast_fp,
       kernel->log_domain(), pool, ctx, warm_u, warm_v, result));
 
   for (size_t outer = 0; outer < options.max_outer_iterations; ++outer) {

@@ -16,9 +16,11 @@ enum class FaultSite {
   /// FastOTClean's kernel-allocation checkpoint throws std::bad_alloc —
   /// caught at the repair boundary and surfaced as kResourceExhausted.
   kAlloc = 0,
-  /// The solve's cost view poisons entry (0,0) with NaN *after* input
-  /// validation, so the NaN reaches the kernel build like a real numeric
-  /// blow-up would. Visited once per FastOTClean solve.
+  /// The solve's freshly built kernel is replaced by the one an all-NaN
+  /// cost builds — *after* the build's finite-cost check passed — so the
+  /// NaN reaches the solve like a real numeric blow-up would (dense paths
+  /// then lose all plan mass: kInternal). A poisoned solve bypasses the
+  /// solve cache. Visited once per FastOTClean solve.
   kKernelNan,
   /// A ThreadPool participant sleeps before executing a chunk (install
   /// via InstallPoolDelayHook). Not a failure by itself — compose with a

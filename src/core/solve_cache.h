@@ -11,6 +11,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/result.h"
 #include "common/thread_annotations.h"
 #include "linalg/log_transport_kernel.h"
 #include "linalg/matrix.h"
@@ -273,29 +274,34 @@ struct AcquiredKernel {
 
 /// The one find-or-build path for a solve's kernel. On a hit — an entry
 /// under `key` holding a `Kernel::Storage` — the kernel adopts the cached
-/// storage, so its arithmetic is bit-identical to the miss that built it.
-/// Otherwise `build(entry)` builds the kernel (adding any companions such
-/// as support costs to `entry`) and the storage is published together
-/// with them in one InsertKernel. A null cache or invalid key is a plain
-/// build that touches no counter.
+/// storage, so its arithmetic is bit-identical to the miss that built it,
+/// and nothing is streamed or checked. Otherwise `build(entry)` builds the
+/// kernel (adding any companions such as support costs to `entry`) and the
+/// storage is published together with them in one InsertKernel. `build`
+/// returns a Result: a failed build (a non-finite cost, say) publishes
+/// nothing, so every resident entry passed its build's checks — which is
+/// why a hit can skip them. A null cache or invalid key is a plain build
+/// that touches no counter.
 template <typename Kernel, typename Build>
-AcquiredKernel<Kernel> AcquireKernel(SolveCache* cache,
-                                     const SolveCacheKey& key,
-                                     size_t num_threads,
-                                     linalg::ThreadPool* pool, Build&& build) {
+Result<AcquiredKernel<Kernel>> AcquireKernel(SolveCache* cache,
+                                             const SolveCacheKey& key,
+                                             size_t num_threads,
+                                             linalg::ThreadPool* pool,
+                                             Build&& build) {
   if (cache != nullptr) {
     if (std::optional<CachedKernel> found = cache->FindKernel(key)) {
       if (auto storage = found->As<typename Kernel::Storage>()) {
-        return {Kernel(std::move(storage), num_threads, pool),
-                std::move(*found), true};
+        return AcquiredKernel<Kernel>{
+            Kernel(std::move(storage), num_threads, pool), std::move(*found),
+            true};
       }
     }
   }
   CachedKernel entry;
-  Kernel kernel = build(entry);
+  OTCLEAN_ASSIGN_OR_RETURN(Kernel kernel, build(entry));
   entry.storage = kernel.shared_storage();
   if (cache != nullptr) cache->InsertKernel(key, entry);
-  return {std::move(kernel), std::move(entry), false};
+  return AcquiredKernel<Kernel>{std::move(kernel), std::move(entry), false};
 }
 
 }  // namespace otclean::core

@@ -7,6 +7,31 @@ namespace otclean::dataset {
 Table::Table(Schema schema)
     : schema_(std::move(schema)), columns_(schema_.num_columns()) {}
 
+Result<Table> Table::FromColumns(Schema schema,
+                                 std::vector<std::vector<int>> columns) {
+  if (columns.size() != schema.num_columns()) {
+    return Status::InvalidArgument("Table::FromColumns: wrong arity");
+  }
+  const size_t rows = columns.empty() ? 0 : columns[0].size();
+  for (size_t c = 0; c < columns.size(); ++c) {
+    if (columns[c].size() != rows) {
+      return Status::InvalidArgument(
+          "Table::FromColumns: columns differ in length");
+    }
+    const int cardinality = static_cast<int>(schema.column(c).cardinality());
+    for (int code : columns[c]) {
+      if (code != kMissing && (code < 0 || code >= cardinality)) {
+        return Status::OutOfRange("Table::FromColumns: code out of range for '" +
+                                  schema.column(c).name + "'");
+      }
+    }
+  }
+  Table table(std::move(schema));
+  table.columns_ = std::move(columns);
+  table.num_rows_ = rows;
+  return table;
+}
+
 Status Table::AppendRow(const std::vector<int>& codes) {
   if (codes.size() != schema_.num_columns()) {
     return Status::InvalidArgument("Table::AppendRow: wrong arity");

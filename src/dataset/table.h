@@ -34,9 +34,20 @@ class Table {
   /// Whole column by index.
   const std::vector<int>& ColumnData(size_t col) const { return columns_[col]; }
 
+  /// Adopts column-major codes — columns[c][r] is row r of column c — the
+  /// bulk form of AppendRow: one vector per schema column, all the same
+  /// length, each code kMissing or in range for its column.
+  static Result<Table> FromColumns(Schema schema,
+                                   std::vector<std::vector<int>> columns);
+
   /// Appends a row of codes; must have num_columns() entries, each either
   /// kMissing or in range for its column.
   Status AppendRow(const std::vector<int>& codes);
+
+  /// Reserves room for `rows` rows, so appending them reallocates nothing.
+  void Reserve(size_t rows) {
+    for (auto& col : columns_) col.reserve(rows);
+  }
 
   /// Row as a code vector.
   std::vector<int> Row(size_t row) const;

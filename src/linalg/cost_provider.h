@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 
+#include "common/thread_annotations.h"
 #include "linalg/matrix.h"
 
 namespace otclean::linalg {
@@ -85,6 +87,43 @@ class MatrixCostProvider final : public CostProvider {
 
  private:
   const Matrix* matrix_;
+};
+
+/// The first NaN/±inf cost a checked kernel build streamed, in row-major
+/// order. Every kernel build (`FromCost`, `SparseMatrix::GibbsKernel`)
+/// takes an optional `NonFiniteCost*`; given one, it tests each streamed
+/// cost with std::isfinite *before* its truncation test — NaN fails every
+/// comparison, so a later test would drop it silently — records the first
+/// hit here and stops streaming. A build that recorded one returns an
+/// incomplete kernel that the caller must discard. Offer keeps the
+/// smallest (row, col), so a row-parallel build reports the same entry as
+/// a serial one.
+class NonFiniteCost {
+ public:
+  struct Entry {
+    size_t row = 0;
+    size_t col = 0;
+    double cost = 0.0;
+  };
+
+  void Offer(size_t row, size_t col, double cost) {
+    MutexLock lock(mu_);
+    if (first_ && (row > first_->row ||
+                   (row == first_->row && col >= first_->col))) {
+      return;
+    }
+    first_ = Entry{row, col, cost};
+  }
+
+  /// The first offender, if the build met one.
+  std::optional<Entry> first() const {
+    MutexLock lock(mu_);
+    return first_;
+  }
+
+ private:
+  mutable Mutex mu_;
+  std::optional<Entry> first_ OTCLEAN_GUARDED_BY(mu_);
 };
 
 /// Materializes the view as a dense matrix — the one place the O(rows×cols)

@@ -77,10 +77,23 @@ BasicDenseTransportKernel<T>::BasicDenseTransportKernel(
 
 template <typename T>
 BasicDenseTransportKernel<T> BasicDenseTransportKernel<T>::FromCost(
-    const Matrix& cost, double epsilon, size_t num_threads, ThreadPool* pool) {
+    const Matrix& cost, double epsilon, size_t num_threads, ThreadPool* pool,
+    NonFiniteCost* non_finite) {
   assert(epsilon > 0.0);
-  return BasicDenseTransportKernel(Storage(cost.GibbsKernel(epsilon)),
-                                   num_threads, pool);
+  // Matrix::GibbsKernel's arithmetic, with the finite-cost check in the
+  // same pass.
+  Matrix kernel(cost.rows(), cost.cols());
+  const double* src = cost.data().data();
+  double* dst = kernel.data().data();
+  for (size_t i = 0; i < cost.size(); ++i) {
+    if (non_finite != nullptr && !std::isfinite(src[i])) {
+      non_finite->Offer(i / cost.cols(), i % cost.cols(), src[i]);
+      break;
+    }
+    dst[i] = std::exp(-src[i] / epsilon);
+  }
+  return BasicDenseTransportKernel(Storage(std::move(kernel)), num_threads,
+                                   pool);
 }
 
 template <typename T>
@@ -218,19 +231,19 @@ BasicSparseTransportKernel<T>::BasicSparseTransportKernel(
 template <typename T>
 BasicSparseTransportKernel<T> BasicSparseTransportKernel<T>::FromCost(
     const Matrix& cost, double epsilon, double cutoff, size_t num_threads,
-    ThreadPool* pool) {
+    ThreadPool* pool, NonFiniteCost* non_finite) {
   return FromCost(MatrixCostProvider(cost), epsilon, cutoff, num_threads,
-                  pool);
+                  pool, non_finite);
 }
 
 template <typename T>
 BasicSparseTransportKernel<T> BasicSparseTransportKernel<T>::FromCost(
     const CostProvider& cost, double epsilon, double cutoff,
-    size_t num_threads, ThreadPool* pool) {
+    size_t num_threads, ThreadPool* pool, NonFiniteCost* non_finite) {
   assert(epsilon > 0.0);
   return BasicSparseTransportKernel(
-      Csr(SparseMatrix::GibbsKernel(cost, epsilon, cutoff)), num_threads,
-      pool);
+      Csr(SparseMatrix::GibbsKernel(cost, epsilon, cutoff, non_finite)),
+      num_threads, pool);
 }
 
 template <typename T>

@@ -285,34 +285,34 @@ Status ValidateInputs(const char* where, const linalg::CostProvider& cost,
         " can never be reached (it must be a positive number)");
   }
   if (Status s = ValidateSchedule(where, options); !s.ok()) return s;
-  if (Status s = ValidateMarginals(where, p, q); !s.ok()) return s;
-  return ValidateFiniteCosts(where, cost);
+  // Costs are checked for finiteness by the kernel build (a miss), not
+  // here: a solve-cache hit streams no cost at all.
+  return ValidateMarginals(where, p, q);
 }
 
 }  // namespace
 
 // A NaN or ±inf cost entry propagates through the kernel into a NaN (or
 // silently empty) plan; reject it up front, naming the offending entry.
-// For function-backed providers this is a second full evaluation pass on
-// top of the kernel build's — accepted deliberately: it runs once per
-// solve (the iterations dominate), and checking inside the truncated
-// kernel build instead would miss NaN entries entirely (NaN ≥ cutoff is
-// false, so they are silently truncated away rather than caught).
+Status NonFiniteCostError(const char* where, size_t row, size_t col,
+                          double value) {
+  return Status::InvalidArgument(
+      std::string(where) + ": cost(" + std::to_string(row) + ", " +
+      std::to_string(col) + ") = " + std::to_string(value) +
+      " is not finite; costs must be finite (use a large finite penalty "
+      "for forbidden moves)");
+}
+
 Status ValidateFiniteCosts(const char* where,
                            const linalg::CostProvider& cost) {
   const size_t rows = cost.rows();
   const size_t cols = cost.cols();
-  const auto fail = [&](size_t r, size_t c, double v) {
-    return Status::InvalidArgument(
-        std::string(where) + ": cost(" + std::to_string(r) + ", " +
-        std::to_string(c) + ") = " + std::to_string(v) +
-        " is not finite; costs must be finite (use a large finite penalty "
-        "for forbidden moves)");
-  };
   if (const linalg::Matrix* dense = cost.AsMatrix()) {
     const double* data = dense->data().data();
     for (size_t i = 0; i < dense->size(); ++i) {
-      if (!std::isfinite(data[i])) return fail(i / cols, i % cols, data[i]);
+      if (!std::isfinite(data[i])) {
+        return NonFiniteCostError(where, i / cols, i % cols, data[i]);
+      }
     }
     return Status::OK();
   }
@@ -322,7 +322,9 @@ Status ValidateFiniteCosts(const char* where,
       const size_t c1 = std::min(cols, c0 + tile.size());
       cost.Fill(r, c0, c1, tile.data());
       for (size_t c = c0; c < c1; ++c) {
-        if (!std::isfinite(tile[c - c0])) return fail(r, c, tile[c - c0]);
+        if (!std::isfinite(tile[c - c0])) {
+          return NonFiniteCostError(where, r, c, tile[c - c0]);
+        }
       }
     }
   }
@@ -335,16 +337,18 @@ namespace {
 /// no-ops throughout when the cache is absent or the fingerprint is 0.
 /// One instance serves all four kernel-building paths (dense/sparse ×
 /// linear/log) — the key's log_domain/sparse flags come from the options
-/// and cutoff.
+/// and cutoff. `where` names the solve in a rejected build's error.
 struct CacheSession {
+  const char* where;
   core::SolveCache* cache = nullptr;
   core::SolveCacheKey key;
   std::optional<core::CachedWarmStart> stored;
   bool warm_used = false;
   bool use_warm_store = false;
 
-  CacheSession(const SinkhornOptions& options, size_t rows, size_t cols,
-               double cutoff) {
+  CacheSession(const char* solve, const SinkhornOptions& options, size_t rows,
+               size_t cols, double cutoff)
+      : where(solve) {
     if (options.solve_cache == nullptr) return;
     key = core::MakeSolveCacheKey(options.cache_cost_fingerprint, rows, cols,
                                   options.epsilon, cutoff, options.log_domain,
@@ -357,17 +361,25 @@ struct CacheSession {
   bool active() const { return cache != nullptr; }
 
   /// Find-or-build of a `Kernel` from `Kernel::FromCost(args...)` under
-  /// the session key (a plain build when the session is inactive).
-  template <typename Kernel, typename... Args>
-  std::unique_ptr<Kernel> Acquire(size_t num_threads, linalg::ThreadPool* pool,
-                                  const Args&... args) {
-    return std::make_unique<Kernel>(
+  /// the session key (a plain build when the session is inactive), held
+  /// as a `Base`. A miss checks every cost it streams for finiteness; a
+  /// hit streams none.
+  template <typename Kernel, typename Base = Kernel, typename... Args>
+  Result<std::unique_ptr<const Base>> Acquire(size_t num_threads,
+                                              linalg::ThreadPool* pool,
+                                              const Args&... args) {
+    OTCLEAN_ASSIGN_OR_RETURN(
+        core::AcquiredKernel<Kernel> acquired,
         core::AcquireKernel<Kernel>(
-            cache, key, num_threads, pool,
-            [&](core::CachedKernel&) {
-              return Kernel::FromCost(args..., num_threads, pool);
-            })
-            .kernel);
+            cache, key, num_threads, pool, [&](core::CachedKernel&) {
+              return BuildCheckedKernel(
+                  where, [&](linalg::NonFiniteCost* non_finite) {
+                    return Kernel::FromCost(args..., num_threads, pool,
+                                            non_finite);
+                  });
+            }));
+    return std::unique_ptr<const Base>(
+        std::make_unique<Kernel>(std::move(acquired.kernel)));
   }
 
   /// Redirects null warm pointers at the stored potentials (caller's
@@ -448,13 +460,14 @@ bool ShouldAnneal(const SinkhornOptions& options, const linalg::Vector* warm_u,
 /// its warm start is shaped by the same arithmetic; no plan or transport
 /// cost is ever materialized — stages exist only to move potentials.
 Result<EpsilonAnnealStage> RunAnnealStage(
-    const linalg::CostProvider& cost, const linalg::Vector& p,
-    const linalg::Vector& q, const SinkhornOptions& stage_options,
-    bool sparse, double cutoff, linalg::Vector& u, linalg::Vector& v,
-    linalg::ThreadPool* pool, const ExecContext& ctx) {
+    const char* where, const linalg::CostProvider& cost,
+    const linalg::Vector& p, const linalg::Vector& q,
+    const SinkhornOptions& stage_options, bool sparse, double cutoff,
+    linalg::Vector& u, linalg::Vector& v, linalg::ThreadPool* pool,
+    const ExecContext& ctx) {
   const size_t threads = stage_options.num_threads;
   const double eps = stage_options.epsilon;
-  CacheSession session(stage_options, cost.rows(), cost.cols(),
+  CacheSession session(where, stage_options, cost.rows(), cost.cols(),
                        sparse ? cutoff : 0.0);
   EpsilonAnnealStage stage;
   stage.epsilon = eps;
@@ -464,17 +477,22 @@ Result<EpsilonAnnealStage> RunAnnealStage(
   // solve's check governs. An emptied stage row merely yields a zero
   // potential there, which the final solve overwrites or rejects.
   if (stage_options.log_domain) {
-    const auto kernel = linalg::WithKernelScalar(
-        stage_options.precision,
-        [&](auto scalar) -> std::unique_ptr<const linalg::LogTransportKernel> {
-          using T = decltype(scalar);
-          if (sparse) {
-            return session.Acquire<linalg::BasicSparseLogTransportKernel<T>>(
-                threads, pool, cost, eps, cutoff);
-          }
-          return session.Acquire<linalg::BasicDenseLogTransportKernel<T>>(
-              threads, pool, cost, eps);
-        });
+    OTCLEAN_ASSIGN_OR_RETURN(
+        const auto kernel,
+        linalg::WithKernelScalar(
+            stage_options.precision,
+            [&](auto scalar)
+                -> Result<std::unique_ptr<const linalg::LogTransportKernel>> {
+              using T = decltype(scalar);
+              if (sparse) {
+                return session.Acquire<linalg::BasicSparseLogTransportKernel<T>,
+                                       linalg::LogTransportKernel>(
+                    threads, pool, cost, eps, cutoff);
+              }
+              return session.Acquire<linalg::BasicDenseLogTransportKernel<T>,
+                                     linalg::LogTransportKernel>(threads, pool,
+                                                                 cost, eps);
+            }));
     std::optional<linalg::Vector> lu, lv;
     WarmLogPotentials(&u, u.size(), lu);
     WarmLogPotentials(&v, v.size(), lv);
@@ -493,17 +511,22 @@ Result<EpsilonAnnealStage> RunAnnealStage(
   // (same support, streamed build) so the stage never materializes the
   // cost matrix.
   const linalg::Matrix* dense_cost = cost.AsMatrix();
-  const auto kernel = linalg::WithKernelScalar(
-      stage_options.precision,
-      [&](auto scalar) -> std::unique_ptr<const linalg::TransportKernel> {
-        using T = decltype(scalar);
-        if (sparse || dense_cost == nullptr) {
-          return session.Acquire<linalg::BasicSparseTransportKernel<T>>(
-              threads, pool, cost, eps, sparse ? cutoff : 0.0);
-        }
-        return session.Acquire<linalg::BasicDenseTransportKernel<T>>(
-            threads, pool, *dense_cost, eps);
-      });
+  OTCLEAN_ASSIGN_OR_RETURN(
+      const auto kernel,
+      linalg::WithKernelScalar(
+          stage_options.precision,
+          [&](auto scalar)
+              -> Result<std::unique_ptr<const linalg::TransportKernel>> {
+            using T = decltype(scalar);
+            if (sparse || dense_cost == nullptr) {
+              return session.Acquire<linalg::BasicSparseTransportKernel<T>,
+                                     linalg::TransportKernel>(
+                  threads, pool, cost, eps, sparse ? cutoff : 0.0);
+            }
+            return session.Acquire<linalg::BasicDenseTransportKernel<T>,
+                                   linalg::TransportKernel>(
+                threads, pool, *dense_cost, eps);
+          }));
   OTCLEAN_ASSIGN_OR_RETURN(
       SinkhornScaling scaling,
       RunSinkhornScaling(*kernel, p, q, stage_options, &u, &v, ctx));
@@ -512,6 +535,50 @@ Result<EpsilonAnnealStage> RunAnnealStage(
   stage.iterations = scaling.iterations;
   stage.converged = scaling.converged;
   return stage;
+}
+
+/// The annealing stage sequence of RunSinkhornAnnealed, on inputs the
+/// caller validated; `where` names the solve in a rejected stage build.
+Result<EpsilonAnnealWarmStart> RunAnnealStages(
+    const char* where, const linalg::CostProvider& cost,
+    const linalg::Vector& p, const linalg::Vector& q,
+    const SinkhornOptions& options, bool sparse, double cutoff,
+    linalg::ThreadPool* pool, const ExecContext& ctx) {
+  const EpsilonSchedule& sched = options.epsilon_schedule;
+  std::optional<linalg::ThreadPool> owned_pool;
+  if (pool == nullptr) {
+    pool = linalg::ResolveSolvePool(options.thread_pool, options.num_threads,
+                                    owned_pool);
+  }
+
+  EpsilonAnnealWarmStart out;
+  out.u = linalg::Vector::Ones(cost.rows());
+  out.v = linalg::Vector::Ones(cost.cols());
+  double eps = sched.initial_epsilon;
+  while (eps > options.epsilon) {
+    // Per-stage stop check; the stage's own engine loop polls the same
+    // context every iteration.
+    OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, "RunSinkhornAnnealed"));
+    SinkhornOptions stage_options = options;
+    stage_options.epsilon = eps;
+    stage_options.tolerance = sched.stage_tolerance;
+    stage_options.max_iterations = sched.stage_max_iterations;
+    // Stage kernels get their own cache entries (the key carries the
+    // stage ε), but the warm-start tier stays final-ε only: stage
+    // potentials are deliberately half-baked.
+    stage_options.cache_warm_start = false;
+    stage_options.epsilon_schedule = EpsilonSchedule{};
+    OTCLEAN_ASSIGN_OR_RETURN(
+        EpsilonAnnealStage stage,
+        RunAnnealStage(where, cost, p, q, stage_options, sparse, cutoff,
+                       out.u, out.v, pool, ctx));
+    out.stages.push_back(stage);
+    const double next = std::max(options.epsilon, eps * sched.decay);
+    RescalePotentials(out.u, eps / next);
+    RescalePotentials(out.v, eps / next);
+    eps = next;
+  }
+  return out;
 }
 
 /// Log-domain dense solve: a thin client of RunSinkhornLogScaling over a
@@ -526,24 +593,30 @@ Result<SinkhornResult> RunSinkhornLogDomain(const linalg::Matrix& cost,
                                             const linalg::Vector* warm_v,
                                             linalg::ThreadPool* pool,
                                             const ExecContext& ctx) {
-  CacheSession session(options, cost.rows(), cost.cols(), /*cutoff=*/0.0);
+  CacheSession session("RunSinkhorn", options, cost.rows(), cost.cols(),
+                       /*cutoff=*/0.0);
   session.MaybeWarm(warm_u, warm_v);
   EpsilonAnnealWarmStart anneal;
   if (ShouldAnneal(options, warm_u, warm_v)) {
     OTCLEAN_ASSIGN_OR_RETURN(
-        anneal,
-        RunSinkhornAnnealed(linalg::MatrixCostProvider(cost), p, q, options,
-                            /*sparse=*/false, /*cutoff=*/0.0, pool, ctx));
+        anneal, RunAnnealStages("RunSinkhorn",
+                                linalg::MatrixCostProvider(cost), p, q,
+                                options, /*sparse=*/false, /*cutoff=*/0.0,
+                                pool, ctx));
     warm_u = &anneal.u;
     warm_v = &anneal.v;
   }
-  const auto kernel = linalg::WithKernelScalar(
-      options.precision,
-      [&](auto scalar) -> std::unique_ptr<const linalg::LogTransportKernel> {
-        return session.Acquire<
-            linalg::BasicDenseLogTransportKernel<decltype(scalar)>>(
-            options.num_threads, pool, cost, options.epsilon);
-      });
+  OTCLEAN_ASSIGN_OR_RETURN(
+      const auto kernel,
+      linalg::WithKernelScalar(
+          options.precision,
+          [&](auto scalar)
+              -> Result<std::unique_ptr<const linalg::LogTransportKernel>> {
+            return session.Acquire<
+                linalg::BasicDenseLogTransportKernel<decltype(scalar)>,
+                linalg::LogTransportKernel>(options.num_threads, pool, cost,
+                                            options.epsilon);
+          }));
   std::optional<linalg::Vector> warm_lu, warm_lv;
   WarmLogPotentials(warm_u, cost.rows(), warm_lu);
   WarmLogPotentials(warm_v, cost.cols(), warm_lv);
@@ -711,24 +784,30 @@ Result<SinkhornResult> RunSinkhorn(const linalg::Matrix& cost,
                                 ctx);
   }
 
-  CacheSession session(options, cost.rows(), cost.cols(), /*cutoff=*/0.0);
+  CacheSession session("RunSinkhorn", options, cost.rows(), cost.cols(),
+                       /*cutoff=*/0.0);
   session.MaybeWarm(warm_u, warm_v);
   EpsilonAnnealWarmStart anneal;
   if (ShouldAnneal(options, warm_u, warm_v)) {
     OTCLEAN_ASSIGN_OR_RETURN(
-        anneal,
-        RunSinkhornAnnealed(linalg::MatrixCostProvider(cost), p, q, options,
-                            /*sparse=*/false, /*cutoff=*/0.0, pool, ctx));
+        anneal, RunAnnealStages("RunSinkhorn",
+                                linalg::MatrixCostProvider(cost), p, q,
+                                options, /*sparse=*/false, /*cutoff=*/0.0,
+                                pool, ctx));
     warm_u = &anneal.u;
     warm_v = &anneal.v;
   }
-  const auto kernel = linalg::WithKernelScalar(
-      options.precision,
-      [&](auto scalar) -> std::unique_ptr<const linalg::TransportKernel> {
-        return session.Acquire<
-            linalg::BasicDenseTransportKernel<decltype(scalar)>>(
-            options.num_threads, pool, cost, options.epsilon);
-      });
+  OTCLEAN_ASSIGN_OR_RETURN(
+      const auto kernel,
+      linalg::WithKernelScalar(
+          options.precision,
+          [&](auto scalar)
+              -> Result<std::unique_ptr<const linalg::TransportKernel>> {
+            return session.Acquire<
+                linalg::BasicDenseTransportKernel<decltype(scalar)>,
+                linalg::TransportKernel>(options.num_threads, pool, cost,
+                                         options.epsilon);
+          }));
   OTCLEAN_ASSIGN_OR_RETURN(
       SinkhornScaling scaling,
       RunSinkhornScaling(*kernel, p, q, options, warm_u, warm_v, ctx));
@@ -798,40 +877,8 @@ Result<EpsilonAnnealWarmStart> RunSinkhornAnnealed(
   if (Status s = ValidateMarginals("RunSinkhornAnnealed", p, q); !s.ok()) {
     return s;
   }
-  std::optional<linalg::ThreadPool> owned_pool;
-  if (pool == nullptr) {
-    pool = linalg::ResolveSolvePool(options.thread_pool, options.num_threads,
-                                    owned_pool);
-  }
-
-  EpsilonAnnealWarmStart out;
-  out.u = linalg::Vector::Ones(cost.rows());
-  out.v = linalg::Vector::Ones(cost.cols());
-  double eps = sched.initial_epsilon;
-  while (eps > options.epsilon) {
-    // Per-stage stop check; the stage's own engine loop polls the same
-    // context every iteration.
-    OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, "RunSinkhornAnnealed"));
-    SinkhornOptions stage_options = options;
-    stage_options.epsilon = eps;
-    stage_options.tolerance = sched.stage_tolerance;
-    stage_options.max_iterations = sched.stage_max_iterations;
-    // Stage kernels get their own cache entries (the key carries the
-    // stage ε), but the warm-start tier stays final-ε only: stage
-    // potentials are deliberately half-baked.
-    stage_options.cache_warm_start = false;
-    stage_options.epsilon_schedule = EpsilonSchedule{};
-    OTCLEAN_ASSIGN_OR_RETURN(
-        EpsilonAnnealStage stage,
-        RunAnnealStage(cost, p, q, stage_options, sparse, cutoff, out.u,
-                       out.v, pool, ctx));
-    out.stages.push_back(stage);
-    const double next = std::max(options.epsilon, eps * sched.decay);
-    RescalePotentials(out.u, eps / next);
-    RescalePotentials(out.v, eps / next);
-    eps = next;
-  }
-  return out;
+  return RunAnnealStages("RunSinkhornAnnealed", cost, p, q, options, sparse,
+                         cutoff, pool, ctx);
 }
 
 double PlanEntropy(const linalg::Matrix& plan) {
@@ -927,13 +974,14 @@ Result<SparseSinkhornResult> RunSinkhornSparse(
   // same for both.
   const linalg::Vector* q_check = options.relaxed ? nullptr : &q;
 
-  CacheSession session(options, cost.rows(), cost.cols(), kernel_cutoff);
+  CacheSession session("RunSinkhornSparse", options, cost.rows(), cost.cols(),
+                       kernel_cutoff);
   session.MaybeWarm(warm_u, warm_v);
   EpsilonAnnealWarmStart anneal;
   if (ShouldAnneal(options, warm_u, warm_v)) {
     OTCLEAN_ASSIGN_OR_RETURN(
-        anneal, RunSinkhornAnnealed(cost, p, q, options, /*sparse=*/true,
-                                    kernel_cutoff, pool, ctx));
+        anneal, RunAnnealStages("RunSinkhornSparse", cost, p, q, options,
+                                /*sparse=*/true, kernel_cutoff, pool, ctx));
     warm_u = &anneal.u;
     warm_v = &anneal.v;
   }
@@ -945,17 +993,21 @@ Result<SparseSinkhornResult> RunSinkhornSparse(
           [&](auto scalar) -> Result<SparseSinkhornResult> {
             using T = decltype(scalar);
             if (options.log_domain) {
-              return SolveSparse(
-                  *session.Acquire<linalg::BasicSparseLogTransportKernel<T>>(
+              OTCLEAN_ASSIGN_OR_RETURN(
+                  const auto kernel,
+                  session.Acquire<linalg::BasicSparseLogTransportKernel<T>>(
                       options.num_threads, pool, cost, options.epsilon,
-                      kernel_cutoff),
-                  cost, p, q, q_check, options, warm_u, warm_v, session, ctx);
+                      kernel_cutoff));
+              return SolveSparse(*kernel, cost, p, q, q_check, options,
+                                 warm_u, warm_v, session, ctx);
             }
-            return SolveSparse(
-                *session.Acquire<linalg::BasicSparseTransportKernel<T>>(
+            OTCLEAN_ASSIGN_OR_RETURN(
+                const auto kernel,
+                session.Acquire<linalg::BasicSparseTransportKernel<T>>(
                     options.num_threads, pool, cost, options.epsilon,
-                    kernel_cutoff),
-                cost, p, q, q_check, options, warm_u, warm_v, session, ctx);
+                    kernel_cutoff));
+            return SolveSparse(*kernel, cost, p, q, q_check, options, warm_u,
+                               warm_v, session, ctx);
           }));
   result.anneal_stages = std::move(anneal.stages);
   return result;

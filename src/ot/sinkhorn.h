@@ -226,7 +226,8 @@ Result<SinkhornLogScaling> RunSinkhornLogScaling(
 /// problem's dimensions — a mismatch is an InvalidArgument, never a
 /// silent cold start; null starts from all-ones. Inputs are validated:
 /// negative or non-finite marginal entries and non-finite cost entries
-/// are rejected with an indexed error message.
+/// are rejected with an indexed error message (costs by the kernel build
+/// that streams them; a solve-cache hit streams none).
 Result<SinkhornResult> RunSinkhorn(const linalg::Matrix& cost,
                                    const linalg::Vector& p,
                                    const linalg::Vector& q,
@@ -290,13 +291,35 @@ Result<SparseSinkhornResult> RunSinkhornSparse(
     const linalg::Vector* warm_v = nullptr, const ExecContext& ctx = {});
 
 /// Rejects NaN/±inf cost entries with a row/col-indexed InvalidArgument
-/// (finite-cost validation of RunSinkhorn/RunSinkhornSparse, exposed for
-/// callers like FastOTClean that build kernels from a CostProvider
-/// directly — a non-finite entry would otherwise be silently truncated
-/// away or flushed to 0 by the kernels). Streams tile-by-tile, O(tile)
-/// memory; zero-copy when the provider has a dense backing.
+/// naming the first offender in row-major order. A separate pass over the
+/// whole cost, for solvers that build no Gibbs kernel (QCLP, exact OT).
+/// The Sinkhorn paths (RunSinkhorn, RunSinkhornSparse, FastOTClean) check
+/// inside their kernel build instead — BuildCheckedKernel — so a cost is
+/// streamed once per miss and not at all on a solve-cache hit. Streams
+/// tile-by-tile, O(tile) memory; zero-copy when the provider has a dense
+/// backing.
 Status ValidateFiniteCosts(const char* where,
                            const linalg::CostProvider& cost);
+
+/// The InvalidArgument for a non-finite cost entry: "<where>: cost(r, c) =
+/// v is not finite; …" — one message for ValidateFiniteCosts and the
+/// checked kernel builds.
+Status NonFiniteCostError(const char* where, size_t row, size_t col,
+                          double value);
+
+/// Runs `build(linalg::NonFiniteCost*)` — a kernel FromCost call with the
+/// finite-cost check on — and returns its kernel, or NonFiniteCostError
+/// for the first NaN/±inf it streamed (the incomplete kernel is dropped).
+template <typename Build>
+auto BuildCheckedKernel(const char* where, Build&& build)
+    -> Result<decltype(build(nullptr))> {
+  linalg::NonFiniteCost non_finite;
+  auto kernel = build(&non_finite);
+  if (const auto bad = non_finite.first()) {
+    return NonFiniteCostError(where, bad->row, bad->col, bad->cost);
+  }
+  return kernel;
+}
 
 /// Verifies a truncated kernel can carry the marginals: every row i with
 /// p[i] > 0 (and, when `q` is non-null, every column j with q[j] > 0) must

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "common/string_util.h"
 #include "dataset/csv.h"
 #include "dataset/discretize.h"
 #include "dataset/schema.h"
@@ -187,6 +193,151 @@ TEST(CsvTest, FileRoundTrip) {
 TEST(CsvTest, ReadMissingFileFails) {
   EXPECT_EQ(ReadCsv("/nonexistent/nope.csv").status().code(),
             StatusCode::kIoError);
+}
+
+// The seed's two-pass parser (getline lines, a vector<vector<string>> of
+// every field, then dictionary and coding passes), kept verbatim as the
+// oracle the one-pass ParseCsv must match on every input.
+Result<Table> OracleParseCsv(const std::string& content,
+                             const CsvOptions& options) {
+  const auto is_missing = [&](const std::string& token) {
+    return std::find(options.missing_tokens.begin(),
+                     options.missing_tokens.end(),
+                     token) != options.missing_tokens.end();
+  };
+  std::istringstream in(content);
+  std::string line;
+  std::vector<std::string> header;
+  std::vector<std::vector<std::string>> rows;
+  bool first = true;
+  while (std::getline(in, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    auto fields = SplitString(line, options.delimiter);
+    for (auto& f : fields) f = std::string(StripWhitespace(f));
+    if (first && options.has_header) {
+      header = std::move(fields);
+      first = false;
+      continue;
+    }
+    first = false;
+    rows.push_back(std::move(fields));
+  }
+  if (rows.empty() && header.empty()) {
+    return Status::InvalidArgument("ParseCsv: empty input");
+  }
+  const size_t ncols = header.empty() ? rows[0].size() : header.size();
+  if (header.empty()) {
+    for (size_t i = 0; i < ncols; ++i) header.push_back("c" + std::to_string(i));
+  }
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (rows[r].size() != ncols) {
+      return Status::InvalidArgument("ParseCsv: row " + std::to_string(r) +
+                                     " has " + std::to_string(rows[r].size()) +
+                                     " fields, expected " +
+                                     std::to_string(ncols));
+    }
+  }
+  std::vector<Column> columns(ncols);
+  std::vector<std::unordered_map<std::string, int>> dicts(ncols);
+  for (size_t c = 0; c < ncols; ++c) columns[c].name = header[c];
+  for (const auto& row : rows) {
+    for (size_t c = 0; c < ncols; ++c) {
+      const std::string& tok = row[c];
+      if (is_missing(tok)) continue;
+      if (dicts[c].emplace(tok, static_cast<int>(columns[c].categories.size()))
+              .second) {
+        columns[c].categories.push_back(tok);
+      }
+    }
+  }
+  for (auto& col : columns) {
+    if (col.categories.empty()) col.categories.push_back("<none>");
+  }
+  Table table{Schema(std::move(columns))};
+  for (const auto& row : rows) {
+    std::vector<int> codes(ncols);
+    for (size_t c = 0; c < ncols; ++c) {
+      const std::string& tok = row[c];
+      codes[c] = is_missing(tok) ? kMissing : dicts[c].at(tok);
+    }
+    OTCLEAN_RETURN_NOT_OK(table.AppendRow(codes));
+  }
+  return table;
+}
+
+/// Both parsers fail with the same status, or succeed with the same
+/// schema (names and categories in order), codes and serialization.
+void ExpectSameAsOracle(const std::string& content,
+                        const CsvOptions& options = {}) {
+  SCOPED_TRACE(::testing::Message() << "input: \"" << content << "\"");
+  const Result<Table> got = ParseCsv(content, options);
+  const Result<Table> want = OracleParseCsv(content, options);
+  ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString() << " vs "
+                                 << want.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    return;
+  }
+  ASSERT_EQ(got->num_columns(), want->num_columns());
+  for (size_t c = 0; c < want->num_columns(); ++c) {
+    EXPECT_EQ(got->schema().column(c).name, want->schema().column(c).name);
+    EXPECT_EQ(got->schema().column(c).categories,
+              want->schema().column(c).categories);
+  }
+  EXPECT_TRUE(got->SameContents(*want));
+  EXPECT_EQ(ToCsvString(*got, options), ToCsvString(*want, options));
+}
+
+TEST(CsvTest, OnePassParserMatchesTwoPassOracle) {
+  for (const std::string& csv : std::vector<std::string>{
+           "a,b\nx,1\ny,2\nx,2\n",
+           "a,b\r\nx,y\r\nz,y\r\n",         // CRLF
+           "a,b\r\nx,y\r\n\r\nz,w",          // CRLF, blank CRLF line
+           "a,b\n\n\nx,y\n\n",                // blank lines
+           "a,b\n   \nx,y\n",                  // whitespace-only line
+           "a,b\n \t \n",                       // ... as the only row
+           "\n\na,b\nx,y\n",                    // leading blank lines
+           "a,b\nx,?\n,1\nNA, nan \nNULL,2\n",  // missing tokens
+           "a,b\n?,1\n,2\n",                   // an all-missing column
+           " a , b \n x , y \n\tx\t,y\n",      // stripped fields
+           "a,b\n",                             // header only
+           "a,b",                                // header, no newline
+           "a,b\nx,y",                           // missing final newline
+           "a,b\nx,y\r",                         // ... ending in '\r'
+           "a,b\r\r\nx,y\n",                    // '\r\r' header end
+           "a,b\nx,y\nz\n",                     // too few fields
+           "a,b\nx,y,z\nu\n",                   // too many, then too few
+           "a\n\r\n",                           // lone '\r' line
+           "",                                   // empty
+           "\n\r\n\n",                          // blank lines only
+           "a,a\nx,x\ny,x\nx,y\n",             // per-column dictionaries
+           "a,b,\n1,2,\n3,,\n",                 // trailing delimiters
+       }) {
+    ExpectSameAsOracle(csv);
+    CsvOptions no_header;
+    no_header.has_header = false;
+    ExpectSameAsOracle(csv, no_header);
+    CsvOptions semicolon;
+    semicolon.delimiter = ';';
+    ExpectSameAsOracle(csv, semicolon);
+  }
+  CsvOptions semicolon;
+  semicolon.delimiter = ';';
+  ExpectSameAsOracle("a;b\nx,1;y\n ; 2\nx,1;?\n", semicolon);
+  ExpectSameAsOracle("a;b\nx;y;z\n", semicolon);
+  CsvOptions custom_missing;
+  custom_missing.missing_tokens = {"-"};
+  ExpectSameAsOracle("a,b\n-,?\n,x\n", custom_missing);
+}
+
+TEST(CsvTest, ParseErrorsNameTheRowAndFieldCounts) {
+  const Result<Table> r = ParseCsv("a,b\nx,y\n\nz\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("row 1 has 1 fields, expected 2"),
+            std::string::npos)
+      << r.status().ToString();
 }
 
 // ------------------------------------------------------------ Discretize --

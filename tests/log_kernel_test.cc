@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -19,6 +21,7 @@
 #include "linalg/log_transport_kernel.h"
 #include "linalg/simd.h"
 #include "linalg/simd_exp.h"
+#include "linalg/thread_pool.h"
 #include "ot/cost.h"
 #include "ot/sinkhorn.h"
 #include "prob/domain.h"
@@ -493,6 +496,143 @@ TEST(LogSinkhornBugfixTest, NegativeMarginalsAndNonFiniteCostsRejected) {
                                      nan_lambda_cost, fopts, rng);
     ASSERT_FALSE(r.ok());
     EXPECT_NE(r.status().ToString().find("cost("), std::string::npos);
+  }
+}
+
+// The truncated build skips exp for costs above c_max, a hair over the
+// keep threshold r = −ε·ln(cutoff). At r itself and a few ulps either side
+// — and at cutoffs near 1, near the double range's floor and 0 — its CSR
+// must equal the brute-force exp-then-test one, entry for entry and bit
+// for bit, linear and log.
+TEST(TruncatedKernelBuildTest, CostsAtTheKeepThresholdMatchExpThenTest) {
+  for (const double eps : {0.01, 0.1, 0.7, 3.0}) {
+    for (const double cutoff : {0.0, 1e-300, 1e-12, 1e-3, 0.5, 0.999999,
+                                1.0}) {
+      const double r = -eps * std::log(cutoff);
+      std::vector<double> costs;
+      double up = std::isfinite(r) ? r : 1e300;
+      double down = up;
+      costs.push_back(up);
+      for (int k = 0; k < 8; ++k) {
+        up = std::nextafter(up, std::numeric_limits<double>::infinity());
+        down = std::nextafter(down, -std::numeric_limits<double>::infinity());
+        costs.push_back(up);
+        costs.push_back(down);
+      }
+      costs.push_back(0.0);
+      costs.push_back(r * (1.0 + 1e-12));
+      costs.push_back(r * (1.0 - 1e-12));
+      costs.push_back(r + 1e-9 * (std::fabs(r) + eps));  // c_max
+      costs.push_back(1e308);
+      Matrix cost(3, costs.size());
+      for (size_t j = 0; j < costs.size(); ++j) {
+        cost(0, j) = costs[j];
+        cost(1, costs.size() - 1 - j) = costs[j];
+        cost(2, j) = costs[(j * 7) % costs.size()];
+      }
+      const std::string at =
+          "eps=" + std::to_string(eps) + " cutoff=" + std::to_string(cutoff);
+      for (const bool store_log : {false, true}) {
+        const linalg::SparseMatrix built =
+            store_log ? linalg::SparseMatrix::LogGibbsKernel(cost, eps, cutoff)
+                      : linalg::SparseMatrix::GibbsKernel(cost, eps, cutoff);
+        std::vector<size_t> row_ptr{0}, cols;
+        std::vector<double> vals;
+        for (size_t i = 0; i < cost.rows(); ++i) {
+          for (size_t j = 0; j < cost.cols(); ++j) {
+            const double l = -cost(i, j) / eps;
+            const double k = std::exp(l);
+            if (k >= cutoff) {
+              cols.push_back(j);
+              vals.push_back(store_log ? l : k);
+            }
+          }
+          row_ptr.push_back(cols.size());
+        }
+        EXPECT_EQ(built.row_ptr(), row_ptr) << at;
+        EXPECT_EQ(built.col_index(), cols) << at;
+        ASSERT_EQ(built.values().size(), vals.size()) << at;
+        for (size_t k = 0; k < vals.size(); ++k) {
+          EXPECT_EQ(std::memcmp(&built.values()[k], &vals[k], sizeof(double)),
+                    0)
+              << at << " entry " << k;
+        }
+      }
+    }
+  }
+}
+
+// The dense log kernel streams provider rows from pool workers; each chunk
+// stops at its own first non-finite cost, and the reported entry is still
+// the row-major first — the one a serial build reports.
+TEST(TruncatedKernelBuildTest, ParallelDenseLogBuildReportsTheRowMajorFirst) {
+  class PoisonedRows final : public linalg::CostProvider {
+   public:
+    size_t rows() const override { return 400; }
+    size_t cols() const override { return 300; }
+    double At(size_t r, size_t c) const override {
+      if ((r == 137 && c == 250) || (r == 137 && c == 260) ||
+          (r == 311 && c == 3) || (r == 399 && c == 0)) {
+        return std::nan("");
+      }
+      return std::fabs(static_cast<double>(r % 17) - static_cast<double>(c % 13));
+    }
+  };
+  const PoisonedRows cost;
+  linalg::ThreadPool pool(4);
+  for (const size_t threads : {1, 4}) {
+    linalg::NonFiniteCost non_finite;
+    (void)DenseLogTransportKernel::FromCost(cost, 0.1, threads, &pool,
+                                            &non_finite);
+    const auto bad = non_finite.first();
+    ASSERT_TRUE(bad.has_value()) << threads;
+    EXPECT_EQ(bad->row, 137u) << threads;
+    EXPECT_EQ(bad->col, 250u) << threads;
+    EXPECT_TRUE(std::isnan(bad->cost)) << threads;
+  }
+}
+
+// FastOTClean checks its streamed cost function inside the kernel build,
+// before the truncation test, on all four kernel shapes: a NaN or ±inf at
+// a far pair — one a 1e-3 cutoff drops — is still rejected, naming the
+// first offending (row, col) in row-major order.
+TEST(TruncatedKernelBuildTest, FastOtCleanRejectsNonFiniteCostOnEveryPath) {
+  const prob::Domain d = prob::Domain::FromCardinalities({4, 4});
+  prob::JointDistribution p(d);
+  for (size_t i = 0; i < p.size(); ++i) {
+    p[i] = static_cast<double>(1 + i % 3);
+  }
+  p.Normalize();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    // Cells are a0·4 + a1; every cell carries mass, so row/col = cell.
+    const ot::LambdaCost cost(
+        [bad](const std::vector<int>& a, const std::vector<int>& b) {
+          const bool far = (a[0] == 0 && a[1] == 1 && b[0] == 3 && b[1] == 3) ||
+                           (a[0] == 2 && b[0] == 0 && b[1] == 0);
+          if (far) return bad;
+          return std::fabs(a[0] - b[0]) + std::fabs(a[1] - b[1]);
+        });
+    for (const double truncation : {0.0, 1e-3}) {
+      for (const bool log_domain : {false, true}) {
+        core::FastOtCleanOptions fopts;
+        fopts.kernel_truncation = truncation;
+        fopts.log_domain = log_domain;
+        Rng rng(5);
+        const auto r = core::FastOtClean(p, prob::CiSpec{{0}, {1}, {}}, cost,
+                                         fopts, rng);
+        const std::string at = "bad=" + std::to_string(bad) +
+                               " truncation=" + std::to_string(truncation) +
+                               " log=" + std::to_string(log_domain);
+        ASSERT_FALSE(r.ok()) << at;
+        EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << at;
+        EXPECT_NE(r.status().message().find(
+                      "cost(1, 15) = " + std::to_string(bad) + " is not finite"),
+                  std::string::npos)
+            << at << ": " << r.status().ToString();
+      }
+    }
   }
 }
 

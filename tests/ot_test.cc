@@ -5,6 +5,7 @@
 #include <limits>
 #include <string>
 
+#include "core/solve_cache.h"
 #include "linalg/simd.h"
 #include "linalg/transport_kernel.h"
 #include "ot/cost.h"
@@ -209,6 +210,72 @@ TEST(SinkhornTest, RejectsBadInputs) {
   opts.epsilon = -1.0;
   linalg::Vector p2(std::vector<double>{0.5, 0.5});
   EXPECT_FALSE(RunSinkhorn(SimpleCost(), p2, q, opts).ok());
+}
+
+// A 6×6 line cost with one poisoned entry far off the diagonal: at ε = 0.1
+// and cutoff 1e-3 its finite value (5) would be truncated away, so only
+// the check before the truncation test can catch it.
+linalg::Matrix FarPoisonedCost(double bad) {
+  linalg::Matrix cost(6, 6);
+  for (size_t i = 0; i < 6; ++i) {
+    for (size_t j = 0; j < 6; ++j) {
+      cost(i, j) = std::fabs(static_cast<double>(i) - static_cast<double>(j));
+    }
+  }
+  cost(1, 5) = bad;
+  cost(4, 0) = bad;  // later in row-major order: never the one reported
+  return cost;
+}
+
+TEST(SinkhornTest, NonFiniteCostInATruncatedAwayEntryIsRejected) {
+  const linalg::Vector u(6, 1.0 / 6.0);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const linalg::Matrix cost = FarPoisonedCost(bad);
+    for (const bool log_domain : {false, true}) {
+      SinkhornOptions opts;
+      opts.epsilon = 0.1;
+      opts.log_domain = log_domain;
+      const std::string at = "bad=" + std::to_string(bad) +
+                             " log=" + std::to_string(log_domain);
+      const auto sparse = RunSinkhornSparse(cost, u, u, opts, 1e-3);
+      ASSERT_FALSE(sparse.ok()) << at;
+      EXPECT_EQ(sparse.status().code(), StatusCode::kInvalidArgument) << at;
+      EXPECT_NE(sparse.status().message().find(
+                    "RunSinkhornSparse: cost(1, 5) = " + std::to_string(bad) +
+                    " is not finite"),
+                std::string::npos)
+          << at << ": " << sparse.status().ToString();
+      const auto dense = RunSinkhorn(cost, u, u, opts);
+      ASSERT_FALSE(dense.ok()) << at;
+      EXPECT_EQ(dense.status().code(), StatusCode::kInvalidArgument) << at;
+      EXPECT_NE(dense.status().message().find("RunSinkhorn: cost(1, 5) = "),
+                std::string::npos)
+          << at << ": " << dense.status().ToString();
+    }
+  }
+}
+
+TEST(SinkhornTest, RejectedKernelBuildPublishesNoCacheEntry) {
+  const linalg::Vector u(6, 1.0 / 6.0);
+  const linalg::Matrix cost =
+      FarPoisonedCost(std::numeric_limits<double>::quiet_NaN());
+  core::SolveCache cache;
+  SinkhornOptions opts;
+  opts.epsilon = 0.1;
+  opts.solve_cache = &cache;
+  opts.cache_cost_fingerprint = 0xBAD;
+  EXPECT_FALSE(RunSinkhornSparse(cost, u, u, opts, 1e-3).ok());
+  EXPECT_FALSE(RunSinkhorn(cost, u, u, opts).ok());
+  opts.log_domain = true;
+  EXPECT_FALSE(RunSinkhornSparse(cost, u, u, opts, 1e-3).ok());
+  EXPECT_FALSE(RunSinkhorn(cost, u, u, opts).ok());
+  const core::SolveCacheStats s = cache.Stats();
+  EXPECT_EQ(s.kernel_misses, 4u);
+  EXPECT_EQ(s.insertions, 0u);
+  EXPECT_EQ(s.entries, 0u);
+  EXPECT_EQ(s.bytes_cached, 0u);
 }
 
 TEST(SinkhornTest, RejectsNonFiniteEpsilonAndRelaxedLambda) {

@@ -5,15 +5,20 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/fast_otclean.h"
 #include "core/repair.h"
 #include "core/repair_scheduler.h"
 #include "datagen/synthetic.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
+#include "ot/cost.h"
 #include "ot/sinkhorn.h"
+#include "prob/domain.h"
+#include "prob/joint.h"
 
 namespace otclean::core {
 namespace {
@@ -404,6 +409,108 @@ TEST(SolveCacheSinkhornTest, WarmStartConvergesFasterAtEqualTolerance) {
   EXPECT_EQ(s.warm_hits, 1u);
   EXPECT_GE(s.warm_misses, 1u);  // the cold solve's lookup
   EXPECT_EQ(s.warm_iterations_saved, cold->iterations - warm->iterations);
+}
+
+// ---------------------------------------------------------------------------
+// Each cost streamed once: on the miss that builds the kernel, never on a hit
+
+/// L1 distance over the codes that counts its Cost() calls (thread-safe:
+/// kernel builds may stream rows from pool workers). Fingerprintable, so
+/// FastOTClean caches its kernel; `poisoned` returns NaN for the pair of
+/// the first and last cells, which any cutoff would truncate away.
+class CountingCost final : public ot::CostFunction {
+ public:
+  explicit CountingCost(bool poisoned = false) : poisoned_(poisoned) {}
+
+  double Cost(const std::vector<int>& a,
+              const std::vector<int>& b) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    double s = 0.0;
+    bool first_to_last = true;
+    for (size_t i = 0; i < a.size(); ++i) {
+      s += std::fabs(static_cast<double>(a[i] - b[i]));
+      first_to_last = first_to_last && a[i] == 0 && b[i] == 2;
+    }
+    return poisoned_ && first_to_last ? std::nan("") : s;
+  }
+  uint64_t Fingerprint() const override { return poisoned_ ? 0xBAD : 0xC0DE; }
+
+  size_t TakeCalls() const { return calls_.exchange(0); }
+
+ private:
+  bool poisoned_;
+  mutable std::atomic<size_t> calls_{0};
+};
+
+/// A full-support joint over {3, 3, 3}: 27 active cells, so the restricted
+/// cost is 27 × 27.
+prob::JointDistribution FullSupportJoint() {
+  prob::JointDistribution p(prob::Domain::FromCardinalities({3, 3, 3}));
+  for (size_t i = 0; i < p.size(); ++i) {
+    p[i] = 1.0 + static_cast<double>((i * 5) % 7);
+  }
+  p.Normalize();
+  return p;
+}
+
+TEST(SolveCacheRepairTest, HitStreamsNoCostAndMissStreamsEachCostOnce) {
+  const prob::JointDistribution p = FullSupportJoint();
+  const size_t cells = p.size();
+  const prob::CiSpec ci{{0}, {1}, {2}};
+  for (const double truncation : {0.0, 1e-4}) {
+    SolveCache cache;
+    const CountingCost cost;
+    FastOtCleanOptions opts;
+    opts.kernel_truncation = truncation;
+    opts.max_outer_iterations = 5;
+    opts.solve_cache = &cache;
+    Rng rng_miss(3);
+    const auto miss = FastOtClean(p, ci, cost, opts, rng_miss);
+    ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+    EXPECT_EQ(miss->cache_kernel_misses, 1u);
+    // The build streams every cost once; the truncated kernel then gathers
+    // its support costs once (nnz calls), which ⟨C, π⟩ reuses thereafter.
+    const size_t support = truncation > 0.0 ? miss->kernel_nnz : 0;
+    EXPECT_EQ(cost.TakeCalls(), cells * cells + support)
+        << "truncation " << truncation;
+
+    Rng rng_hit(3);
+    const auto hit = FastOtClean(p, ci, cost, opts, rng_hit);
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    EXPECT_EQ(hit->cache_kernel_hits, 1u);
+    EXPECT_EQ(cost.TakeCalls(), 0u) << "truncation " << truncation;
+    EXPECT_EQ(hit->transport_cost, miss->transport_cost);
+  }
+}
+
+TEST(SolveCacheRepairTest, RejectedKernelBuildPublishesNothing) {
+  const prob::JointDistribution p = FullSupportJoint();
+  for (const double truncation : {0.0, 1e-4}) {
+    for (const bool log_domain : {false, true}) {
+      SolveCache cache;
+      const CountingCost cost(/*poisoned=*/true);
+      FastOtCleanOptions opts;
+      opts.kernel_truncation = truncation;
+      opts.log_domain = log_domain;
+      opts.solve_cache = &cache;
+      for (int attempt = 0; attempt < 2; ++attempt) {
+        Rng rng(3);
+        const auto r = FastOtClean(p, prob::CiSpec{{0}, {1}, {2}}, cost, opts,
+                                   rng);
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(r.status().message().find("cost(0, 26) = nan"),
+                  std::string::npos)
+            << r.status().ToString();
+      }
+      // Both attempts missed and built; neither published.
+      const SolveCacheStats s = cache.Stats();
+      EXPECT_EQ(s.kernel_misses, 2u);
+      EXPECT_EQ(s.kernel_hits, 0u);
+      EXPECT_EQ(s.insertions, 0u);
+      EXPECT_EQ(s.entries, 0u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
