@@ -115,11 +115,12 @@ class KernelOuterLoop final : public OuterLoopKernel {
   /// Finds or builds the kernel. `cache` (nullable) with an invalid `key`
   /// is a silent no-op, so the uncached construction path is unchanged. A
   /// hit adopts the cached storage — the same bytes the miss built, hence
-  /// bit-identical arithmetic — and streams no cost. A miss builds it,
-  /// checking every streamed cost for finiteness (`where` names the repair
-  /// in the error), and publishes it with its companions; a rejected build
-  /// publishes nothing. `poison` (FaultSite::kKernelNan, never cached)
-  /// swaps the checked kernel for Poisoned's.
+  /// bit-identical arithmetic — and streams no cost to build (the dense
+  /// log path's TransportCost still streams it per outer step). A miss
+  /// builds it, checking every streamed cost for finiteness (`where` names
+  /// the repair in the error), and publishes it with its companions; a
+  /// rejected build publishes nothing. `poison` (FaultSite::kKernelNan,
+  /// never cached) swaps the checked kernel for Poisoned's.
   static Result<std::unique_ptr<const OuterLoopKernel>> Create(
       const char* where, const linalg::CostProvider& cost,
       const FastOtCleanOptions& options, linalg::ThreadPool* pool,
@@ -237,39 +238,50 @@ class KernelOuterLoop final : public OuterLoopKernel {
   }
 
  private:
-  /// The miss path: builds the kernel with the finite-cost check on and
-  /// records its companion in `entry` so both are published together.
+  /// The miss path: builds the kernel, checking each cost in the build's
+  /// own pass, and records its companion in `entry` so both are published
+  /// together.
   static Result<Kernel> Build(const char* where,
                               const linalg::CostProvider& cost,
                               const FastOtCleanOptions& options,
                               linalg::ThreadPool* pool, bool poison,
                               CachedKernel& entry) {
-    const size_t threads = options.num_threads;
-    if constexpr (!kSparse && !kLog) {
-      entry.dense_cost = std::make_shared<const linalg::Matrix>(
-          linalg::MaterializeCostMatrix(cost));
-    }
-    OTCLEAN_ASSIGN_OR_RETURN(
-        Kernel kernel,
-        ot::BuildCheckedKernel(where, [&](linalg::NonFiniteCost* non_finite) {
-          if constexpr (kSparse) {
-            return Kernel::FromCost(cost, options.epsilon,
-                                    options.kernel_truncation, threads, pool,
-                                    non_finite);
-          } else if constexpr (kLog) {
-            return Kernel::FromCost(cost, options.epsilon, threads, pool,
-                                    non_finite);
-          } else {
-            return Kernel::FromCost(*entry.dense_cost, options.epsilon,
-                                    threads, pool, non_finite);
-          }
-        }));
+    OTCLEAN_ASSIGN_OR_RETURN(Kernel kernel,
+                             CheckedBuild(where, cost, options, pool, entry));
     if (poison) kernel = Poisoned(kernel, options, pool);
     if constexpr (kSparse) {
       entry.support_costs = std::make_shared<const std::vector<double>>(
           kernel.GatherSupportCosts(cost));
     }
     return kernel;
+  }
+
+  static Result<Kernel> CheckedBuild(const char* where,
+                                     const linalg::CostProvider& cost,
+                                     const FastOtCleanOptions& options,
+                                     linalg::ThreadPool* pool,
+                                     CachedKernel& entry) {
+    const size_t threads = options.num_threads;
+    if constexpr (kSparse) {
+      return ot::BuildCheckedKernel<Kernel>(where, cost, options.epsilon,
+                                            options.kernel_truncation,
+                                            threads, pool);
+    } else if constexpr (kLog) {
+      return ot::BuildCheckedKernel<Kernel>(where, cost, options.epsilon,
+                                            threads, pool);
+    } else {
+      // The check rides on the stream that materializes the cost; the
+      // kernel then builds from the checked matrix.
+      OTCLEAN_ASSIGN_OR_RETURN(
+          linalg::Matrix dense,
+          ot::StreamChecked(where, cost, [](const linalg::CostProvider& view) {
+            return linalg::MaterializeCostMatrix(view);
+          }));
+      entry.dense_cost =
+          std::make_shared<const linalg::Matrix>(std::move(dense));
+      return Kernel::FromCost(*entry.dense_cost, options.epsilon, threads,
+                              pool);
+    }
   }
 
   /// FaultSite::kKernelNan: the kernel an all-NaN cost builds — every
@@ -621,7 +633,8 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
   const ot::FunctionCostProvider cost_view(dom, row_cells, col_cells, cost);
   // Costs are checked for finiteness inside the kernel build below (a NaN
   // or ±inf from a user cost function would otherwise be truncated away or
-  // flushed to 0 by the kernels); a cache hit streams none.
+  // flushed to 0 by the kernels); a cache hit builds nothing and checks
+  // nothing.
   OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, where));
 
   // kKernelNan poisons the kernel after its build passed that check, so

@@ -393,7 +393,6 @@ Result<dataset::Table> OtCleanRepairer::Apply(const dataset::Table& table,
     return Status::FailedPrecondition("OtCleanRepairer::Apply before Fit");
   }
   dataset::Table out(table.schema());
-  out.Reserve(table.num_rows());
   for (size_t r = 0; r < table.num_rows(); ++r) {
     OTCLEAN_RETURN_NOT_OK(out.AppendRow(RepairRow(table.Row(r), rng)));
   }
@@ -569,7 +568,6 @@ Result<RepairReport> RepairTableMultiOnce(
   // Apply the cleaner row by row over the union columns.
   Rng apply_rng(options.seed ^ 0xfeedbeefull);
   dataset::Table repaired(schema);
-  repaired.Reserve(table.num_rows());
   for (size_t row_idx = 0; row_idx < table.num_rows(); ++row_idx) {
     std::vector<int> row = table.Row(row_idx);
     size_t cell = 0;

@@ -275,7 +275,8 @@ struct AcquiredKernel {
 /// The one find-or-build path for a solve's kernel. On a hit — an entry
 /// under `key` holding a `Kernel::Storage` — the kernel adopts the cached
 /// storage, so its arithmetic is bit-identical to the miss that built it,
-/// and nothing is streamed or checked. Otherwise `build(entry)` builds the
+/// and acquiring it streams and checks no cost (the solve may still read
+/// costs afterwards, e.g. for ⟨C, π⟩). Otherwise `build(entry)` builds the
 /// kernel (adding any companions such as support costs to `entry`) and the
 /// storage is published together with them in one InsertKernel. `build`
 /// returns a Result: a failed build (a non-finite cost, say) publishes

@@ -109,30 +109,16 @@ Result<Table> ReadCsv(const std::string& path, const CsvOptions& options) {
 
 std::string ToCsvString(const Table& table, const CsvOptions& options) {
   const auto& schema = table.schema();
-  const size_t ncols = schema.num_columns();
-  // Table::Label without the copy: "?" for missing, else the category.
-  const auto label = [&](size_t r, size_t c) -> std::string_view {
-    const int code = table.Value(r, c);
-    if (code == kMissing) return "?";
-    return schema.column(c).categories[static_cast<size_t>(code)];
-  };
-  // Sized first, so the output is written into one allocation.
-  size_t bytes = (ncols == 0 ? 1 : ncols) * (table.num_rows() + 1);
-  for (size_t c = 0; c < ncols; ++c) bytes += schema.column(c).name.size();
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t c = 0; c < ncols; ++c) bytes += label(r, c).size();
-  }
   std::string out;
-  out.reserve(bytes);
-  for (size_t c = 0; c < ncols; ++c) {
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
     if (c > 0) out += options.delimiter;
     out += schema.column(c).name;
   }
   out += '\n';
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t c = 0; c < ncols; ++c) {
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
       if (c > 0) out += options.delimiter;
-      out += label(r, c);
+      out += table.Label(r, c);
     }
     out += '\n';
   }

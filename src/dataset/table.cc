@@ -60,9 +60,10 @@ void Table::SetRow(size_t row, const std::vector<int>& codes) {
   for (size_t c = 0; c < codes.size(); ++c) columns_[c][row] = codes[c];
 }
 
-std::string Table::Label(size_t row, size_t col) const {
+const std::string& Table::Label(size_t row, size_t col) const {
+  static const std::string kMissingLabel = "?";
   const int code = columns_[col][row];
-  if (code == kMissing) return "?";
+  if (code == kMissing) return kMissingLabel;
   return schema_.column(col).categories[static_cast<size_t>(code)];
 }
 

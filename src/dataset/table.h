@@ -44,19 +44,15 @@ class Table {
   /// kMissing or in range for its column.
   Status AppendRow(const std::vector<int>& codes);
 
-  /// Reserves room for `rows` rows, so appending them reallocates nothing.
-  void Reserve(size_t rows) {
-    for (auto& col : columns_) col.reserve(rows);
-  }
-
   /// Row as a code vector.
   std::vector<int> Row(size_t row) const;
 
   /// Replaces an entire row.
   void SetRow(size_t row, const std::vector<int>& codes);
 
-  /// Decoded label at (row, col); "?" for missing.
-  std::string Label(size_t row, size_t col) const;
+  /// Decoded label at (row, col); "?" for missing. A reference into the
+  /// schema (or to a static "?"), so reading it copies nothing.
+  const std::string& Label(size_t row, size_t col) const;
 
   /// True if any cell is missing.
   bool HasMissing() const;

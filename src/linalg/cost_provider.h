@@ -2,6 +2,7 @@
 #define OTCLEAN_LINALG_COST_PROVIDER_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <optional>
 
@@ -89,16 +90,16 @@ class MatrixCostProvider final : public CostProvider {
   const Matrix* matrix_;
 };
 
-/// The first NaN/±inf cost a checked kernel build streamed, in row-major
-/// order. Every kernel build (`FromCost`, `SparseMatrix::GibbsKernel`)
-/// takes an optional `NonFiniteCost*`; given one, it tests each streamed
-/// cost with std::isfinite *before* its truncation test — NaN fails every
-/// comparison, so a later test would drop it silently — records the first
-/// hit here and stops streaming. A build that recorded one returns an
-/// incomplete kernel that the caller must discard. Offer keeps the
-/// smallest (row, col), so a row-parallel build reports the same entry as
-/// a serial one.
-class NonFiniteCost {
+/// A view of another provider that tests every value it serves with
+/// std::isfinite and remembers the first NaN/±inf in row-major order. A
+/// kernel build streamed through it checks each cost in the pass that
+/// builds the kernel: the builder sees the value only after the check, so
+/// no truncation or keep test can drop a NaN unseen. The build itself
+/// runs to the end; the caller asks first_non_finite() and discards the
+/// kernel if it is set. AsMatrix() is null, so a dense backing is read
+/// through Fill (and the check) too. Thread-safe like any provider: a
+/// row-parallel build records the same entry a serial one would.
+class FiniteCheckedCost final : public CostProvider {
  public:
   struct Entry {
     size_t row = 0;
@@ -106,7 +107,44 @@ class NonFiniteCost {
     double cost = 0.0;
   };
 
-  void Offer(size_t row, size_t col, double cost) {
+  explicit FiniteCheckedCost(const CostProvider& cost) : cost_(cost) {}
+
+  size_t rows() const override { return cost_.rows(); }
+  size_t cols() const override { return cost_.cols(); }
+
+  double At(size_t row, size_t col) const override {
+    const double x = cost_.At(row, col);
+    if (!std::isfinite(x)) Record(row, col, x);
+    return x;
+  }
+
+  void Fill(size_t row, size_t c0, size_t c1, double* out) const override {
+    cost_.Fill(row, c0, c1, out);
+    for (size_t c = c0; c < c1; ++c) {
+      if (!std::isfinite(out[c - c0])) {
+        Record(row, c, out[c - c0]);
+        return;
+      }
+    }
+  }
+
+  void Gather(size_t row, const size_t* cols, size_t n,
+              double* out) const override {
+    cost_.Gather(row, cols, n, out);
+    for (size_t k = 0; k < n; ++k) {
+      if (!std::isfinite(out[k])) Record(row, cols[k], out[k]);
+    }
+  }
+
+  /// The first non-finite value served, if any.
+  std::optional<Entry> first_non_finite() const {
+    MutexLock lock(mu_);
+    return first_;
+  }
+
+ private:
+  /// Keeps the smallest (row, col) seen.
+  void Record(size_t row, size_t col, double cost) const {
     MutexLock lock(mu_);
     if (first_ && (row > first_->row ||
                    (row == first_->row && col >= first_->col))) {
@@ -115,15 +153,9 @@ class NonFiniteCost {
     first_ = Entry{row, col, cost};
   }
 
-  /// The first offender, if the build met one.
-  std::optional<Entry> first() const {
-    MutexLock lock(mu_);
-    return first_;
-  }
-
- private:
+  const CostProvider& cost_;
   mutable Mutex mu_;
-  std::optional<Entry> first_ OTCLEAN_GUARDED_BY(mu_);
+  mutable std::optional<Entry> first_ OTCLEAN_GUARDED_BY(mu_);
 };
 
 /// Materializes the view as a dense matrix — the one place the O(rows×cols)

@@ -35,12 +35,9 @@ double RowLogCost(const double* costs, const T* vals, const size_t* cols,
 }
 
 /// L = −C/ε in double, streamed from the provider — the build both storage
-/// scalars start from (the f32 kernel narrows the finished matrix). With
-/// `non_finite` set, each cost is checked as it is transformed; a row that
-/// meets a NaN/±inf records it and stops its chunk.
+/// scalars start from (the f32 kernel narrows the finished matrix).
 Matrix BuildLogKernel(const CostProvider& cost, double epsilon,
-                      size_t num_threads, ThreadPool* pool,
-                      NonFiniteCost* non_finite) {
+                      size_t num_threads, ThreadPool* pool) {
   assert(epsilon > 0.0);
   const size_t m = cost.rows();
   const size_t n = cost.cols();
@@ -48,13 +45,7 @@ Matrix BuildLogKernel(const CostProvider& cost, double epsilon,
   double* dst = log_kernel.data().data();
   if (const Matrix* dense = cost.AsMatrix()) {
     const double* src = dense->data().data();
-    for (size_t i = 0; i < dense->size(); ++i) {
-      if (non_finite != nullptr && !std::isfinite(src[i])) {
-        non_finite->Offer(i / n, i % n, src[i]);
-        break;
-      }
-      dst[i] = -src[i] / epsilon;
-    }
+    for (size_t i = 0; i < dense->size(); ++i) dst[i] = -src[i] / epsilon;
     return log_kernel;
   }
   // Rows are disjoint and the provider is thread-safe for const calls, so
@@ -66,13 +57,7 @@ Matrix BuildLogKernel(const CostProvider& cost, double epsilon,
         for (size_t r = r0; r < r1; ++r) {
           double* row = dst + r * n;
           cost.Fill(r, 0, n, row);
-          for (size_t c = 0; c < n; ++c) {
-            if (non_finite != nullptr && !std::isfinite(row[c])) {
-              non_finite->Offer(r, c, row[c]);
-              return;
-            }
-            row[c] = -row[c] / epsilon;
-          }
+          for (size_t c = 0; c < n; ++c) row[c] = -row[c] / epsilon;
         }
       },
       GrainForWork(n), pool);
@@ -100,19 +85,17 @@ BasicDenseLogTransportKernel<T>::BasicDenseLogTransportKernel(
 
 template <typename T>
 BasicDenseLogTransportKernel<T> BasicDenseLogTransportKernel<T>::FromCost(
-    const Matrix& cost, double epsilon, size_t num_threads, ThreadPool* pool,
-    NonFiniteCost* non_finite) {
-  return FromCost(MatrixCostProvider(cost), epsilon, num_threads, pool,
-                  non_finite);
+    const Matrix& cost, double epsilon, size_t num_threads, ThreadPool* pool) {
+  return FromCost(MatrixCostProvider(cost), epsilon, num_threads, pool);
 }
 
 template <typename T>
 BasicDenseLogTransportKernel<T> BasicDenseLogTransportKernel<T>::FromCost(
     const CostProvider& cost, double epsilon, size_t num_threads,
-    ThreadPool* pool, NonFiniteCost* non_finite) {
+    ThreadPool* pool) {
   return BasicDenseLogTransportKernel(
-      Storage(BuildLogKernel(cost, epsilon, num_threads, pool, non_finite)),
-      num_threads, pool);
+      Storage(BuildLogKernel(cost, epsilon, num_threads, pool)), num_threads,
+      pool);
 }
 
 template <typename T>
@@ -265,19 +248,19 @@ BasicSparseLogTransportKernel<T>::BasicSparseLogTransportKernel(
 template <typename T>
 BasicSparseLogTransportKernel<T> BasicSparseLogTransportKernel<T>::FromCost(
     const Matrix& cost, double epsilon, double cutoff, size_t num_threads,
-    ThreadPool* pool, NonFiniteCost* non_finite) {
+    ThreadPool* pool) {
   return FromCost(MatrixCostProvider(cost), epsilon, cutoff, num_threads,
-                  pool, non_finite);
+                  pool);
 }
 
 template <typename T>
 BasicSparseLogTransportKernel<T> BasicSparseLogTransportKernel<T>::FromCost(
     const CostProvider& cost, double epsilon, double cutoff,
-    size_t num_threads, ThreadPool* pool, NonFiniteCost* non_finite) {
+    size_t num_threads, ThreadPool* pool) {
   assert(epsilon > 0.0);
   return BasicSparseLogTransportKernel(
-      Csr(SparseMatrix::LogGibbsKernel(cost, epsilon, cutoff, non_finite)),
-      num_threads, pool);
+      Csr(SparseMatrix::LogGibbsKernel(cost, epsilon, cutoff)), num_threads,
+      pool);
 }
 
 template <typename T>

@@ -86,17 +86,18 @@ class BasicDenseLogTransportKernel final : public LogTransportKernel {
       std::shared_ptr<const Storage> log_kernel, size_t num_threads = 0,
       ThreadPool* pool = nullptr);
 
-  /// Builds L = −C/ε from a dense cost. `non_finite` (optional) turns on
-  /// the finite-cost check (see NonFiniteCost).
-  static BasicDenseLogTransportKernel FromCost(
-      const Matrix& cost, double epsilon, size_t num_threads = 0,
-      ThreadPool* pool = nullptr, NonFiniteCost* non_finite = nullptr);
+  /// Builds L = −C/ε from a dense cost.
+  static BasicDenseLogTransportKernel FromCost(const Matrix& cost,
+                                               double epsilon,
+                                               size_t num_threads = 0,
+                                               ThreadPool* pool = nullptr);
 
   /// Same, streaming the provider tile-by-tile into L — the raw cost
   /// matrix is never materialized (only L is, it being the dense backing).
-  static BasicDenseLogTransportKernel FromCost(
-      const CostProvider& cost, double epsilon, size_t num_threads = 0,
-      ThreadPool* pool = nullptr, NonFiniteCost* non_finite = nullptr);
+  static BasicDenseLogTransportKernel FromCost(const CostProvider& cost,
+                                               double epsilon,
+                                               size_t num_threads = 0,
+                                               ThreadPool* pool = nullptr);
 
   size_t rows() const override { return log_kernel_->rows(); }
   size_t cols() const override { return log_kernel_->cols(); }
@@ -147,14 +148,14 @@ class BasicSparseLogTransportKernel final : public LogTransportKernel {
   /// Builds the truncated log-kernel from a streamed cost; `cutoff` is in
   /// *kernel* space exactly as for SparseTransportKernel::FromCost (drop
   /// where e^{−C/ε} < cutoff), cutoff 0 keeps every entry.
-  static BasicSparseLogTransportKernel FromCost(
-      const CostProvider& cost, double epsilon, double cutoff,
-      size_t num_threads = 0, ThreadPool* pool = nullptr,
-      NonFiniteCost* non_finite = nullptr);
-  static BasicSparseLogTransportKernel FromCost(
-      const Matrix& cost, double epsilon, double cutoff,
-      size_t num_threads = 0, ThreadPool* pool = nullptr,
-      NonFiniteCost* non_finite = nullptr);
+  static BasicSparseLogTransportKernel FromCost(const CostProvider& cost,
+                                                double epsilon, double cutoff,
+                                                size_t num_threads = 0,
+                                                ThreadPool* pool = nullptr);
+  static BasicSparseLogTransportKernel FromCost(const Matrix& cost,
+                                                double epsilon, double cutoff,
+                                                size_t num_threads = 0,
+                                                ThreadPool* pool = nullptr);
 
   size_t rows() const override { return kern().rows(); }
   size_t cols() const override { return kern().cols(); }

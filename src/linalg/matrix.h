@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "linalg/aligned_allocator.h"
 #include "linalg/vector.h"
 
 namespace otclean::linalg {
@@ -31,8 +32,8 @@ class Matrix {
   double operator()(size_t r, size_t c) const { return data_[r * cols_ + c]; }
   double& operator()(size_t r, size_t c) { return data_[r * cols_ + c]; }
 
-  const std::vector<double>& data() const { return data_; }
-  std::vector<double>& data() { return data_; }
+  const AlignedDoubles& data() const { return data_; }
+  AlignedDoubles& data() { return data_; }
 
   /// Returns row r as a vector copy.
   Vector Row(size_t r) const;
@@ -74,7 +75,7 @@ class Matrix {
  private:
   size_t rows_;
   size_t cols_;
-  std::vector<double> data_;
+  AlignedDoubles data_;
 };
 
 }  // namespace otclean::linalg

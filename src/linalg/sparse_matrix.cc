@@ -33,117 +33,69 @@ namespace {
 /// CheckTruncatedKernelSupport and the shared plan sparsity pattern rest
 /// on), rather than by two hand-synchronized copies.
 ///
-/// With `non_finite` set, each cost is checked before anything else sees
-/// it, and the first NaN/±inf ends the stream (the remaining rows are left
-/// empty so the CSR stays well-formed).
-///
 /// Entries with C > c_max cannot pass the keep test, so they skip the
-/// division and exp. c_max sits above r = −ε·ln(cutoff) by a margin of
-/// 1e-9·(|r| + ε): in l = −C/ε units that is ≥ 1e-9·(|ln cutoff| + 1),
-/// orders of magnitude more than the few ulps that rounding in r, in
-/// −C/ε and in exp can move. So every skipped entry would have failed
-/// k ≥ cutoff, and the kept set is the exp-then-test one, bit for bit.
+/// division and exp. c_max sits above r_cut = −ε·ln(cutoff) by a margin
+/// of 1e-9·(|r_cut| + ε): in l = −C/ε units that is ≥
+/// 1e-9·(|ln cutoff| + 1), orders of magnitude more than the few ulps
+/// that rounding in r_cut, in −C/ε and in exp can move. So every skipped
+/// entry would have failed k ≥ cutoff, and the kept set is the
+/// exp-then-test one, bit for bit.
 /// Cutoff 0 gives c_max = +inf (nothing skipped).
-///
-/// Kept entries collect in blocks (the count is unknown until the stream
-/// ends) that grow geometrically up to a fixed size, and are copied once
-/// into exact-size CSR arrays: no doubling reallocations, and no slack
-/// capacity in the built kernel.
 void StreamTruncatedGibbs(const CostProvider& cost, double epsilon,
                           double cutoff, bool store_log,
                           std::vector<size_t>& col_index,
                           std::vector<double>& values,
-                          std::vector<size_t>& row_ptr,
-                          NonFiniteCost* non_finite) {
+                          std::vector<size_t>& row_ptr) {
   const size_t rows = cost.rows();
   const size_t cols = cost.cols();
-  const double r = -epsilon * std::log(cutoff);
-  const double c_max = r + 1e-9 * (std::fabs(r) + epsilon);
+  const double r_cut = -epsilon * std::log(cutoff);
+  const double c_max = r_cut + 1e-9 * (std::fabs(r_cut) + epsilon);
   std::vector<double> tile(std::min(cols, kCostStreamTileCols));
-  constexpr size_t kMinBlock = size_t{1} << 10;
-  constexpr size_t kMaxBlock = size_t{1} << 16;
-  std::vector<std::vector<size_t>> col_blocks;
-  std::vector<std::vector<double>> value_blocks;
-  size_t nnz = 0;
-  size_t room = 0;  // free slots in the last block
-  // Streams one row; false when it met a non-finite cost.
-  const auto stream_row = [&](size_t row) {
+  for (size_t r = 0; r < rows; ++r) {
     for (size_t c0 = 0; c0 < cols; c0 += tile.size()) {
       const size_t c1 = std::min(cols, c0 + tile.size());
-      cost.Fill(row, c0, c1, tile.data());
+      cost.Fill(r, c0, c1, tile.data());
       for (size_t c = c0; c < c1; ++c) {
-        const double x = tile[c - c0];
-        if (non_finite != nullptr && !std::isfinite(x)) {
-          non_finite->Offer(row, c, x);
-          return false;
-        }
-        if (x > c_max) continue;
-        const double l = -x / epsilon;
+        if (tile[c - c0] > c_max) continue;
+        const double l = -tile[c - c0] / epsilon;
         const double k = std::exp(l);
         if (k >= cutoff) {
-          if (room == 0) {
-            room = std::clamp(nnz, kMinBlock, kMaxBlock);
-            col_blocks.emplace_back().reserve(room);
-            value_blocks.emplace_back().reserve(room);
-          }
-          col_blocks.back().push_back(c);
-          value_blocks.back().push_back(store_log ? l : k);
-          ++nnz;
-          --room;
+          col_index.push_back(c);
+          values.push_back(store_log ? l : k);
         }
       }
     }
-    return true;
-  };
-  bool streaming = true;
-  for (size_t row = 0; row < rows; ++row) {
-    streaming = streaming && stream_row(row);
-    row_ptr[row + 1] = nnz;
-  }
-  col_index.reserve(nnz);
-  values.reserve(nnz);
-  for (size_t b = 0; b < col_blocks.size(); ++b) {
-    col_index.insert(col_index.end(), col_blocks[b].begin(),
-                     col_blocks[b].end());
-    values.insert(values.end(), value_blocks[b].begin(),
-                  value_blocks[b].end());
-    std::vector<size_t>().swap(col_blocks[b]);
-    std::vector<double>().swap(value_blocks[b]);
+    row_ptr[r + 1] = values.size();
   }
 }
 
 }  // namespace
 
 SparseMatrix SparseMatrix::GibbsKernel(const Matrix& cost, double epsilon,
-                                       double cutoff,
-                                       NonFiniteCost* non_finite) {
-  return GibbsKernel(MatrixCostProvider(cost), epsilon, cutoff, non_finite);
+                                       double cutoff) {
+  return GibbsKernel(MatrixCostProvider(cost), epsilon, cutoff);
 }
 
 SparseMatrix SparseMatrix::GibbsKernel(const CostProvider& cost,
-                                       double epsilon, double cutoff,
-                                       NonFiniteCost* non_finite) {
+                                       double epsilon, double cutoff) {
   assert(epsilon > 0.0);
   SparseMatrix out(cost.rows(), cost.cols());
   StreamTruncatedGibbs(cost, epsilon, cutoff, /*store_log=*/false,
-                       out.col_index_, out.values_, out.row_ptr_, non_finite);
+                       out.col_index_, out.values_, out.row_ptr_);
   return out;
 }
 
 SparseMatrix SparseMatrix::LogGibbsKernel(const Matrix& cost, double epsilon,
-                                          double cutoff,
-                                          NonFiniteCost* non_finite) {
-  return LogGibbsKernel(MatrixCostProvider(cost), epsilon, cutoff,
-                        non_finite);
+                                          double cutoff) {
+  return LogGibbsKernel(MatrixCostProvider(cost), epsilon, cutoff);
 }
 
 SparseMatrix SparseMatrix::LogGibbsKernel(const CostProvider& cost,
-                                          double epsilon, double cutoff,
-                                          NonFiniteCost* non_finite) {
+                                          double epsilon, double cutoff) {
   assert(epsilon > 0.0);
   SparseMatrix out(cost.rows(), cost.cols());
   StreamTruncatedGibbs(cost, epsilon, cutoff, /*store_log=*/true,
-                       out.col_index_, out.values_, out.row_ptr_, non_finite);
+                       out.col_index_, out.values_, out.row_ptr_);
   return out;
 }
 

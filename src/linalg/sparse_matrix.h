@@ -40,17 +40,14 @@ class SparseMatrix {
   /// Builds the truncated Gibbs kernel K = e^{−C/ε} directly from a dense
   /// cost matrix, keeping only entries ≥ cutoff — no dense intermediate.
   static SparseMatrix GibbsKernel(const Matrix& cost, double epsilon,
-                                  double cutoff,
-                                  NonFiniteCost* non_finite = nullptr);
+                                  double cutoff);
 
   /// Same, with the cost *streamed* tile-by-tile from a provider: peak
   /// transient memory is O(nnz) output + one L1-sized tile, never
   /// rows×cols. The Matrix overload above delegates here, so both produce
-  /// bit-identical kernels. `non_finite` (optional) turns on the
-  /// finite-cost check (see NonFiniteCost).
+  /// bit-identical kernels.
   static SparseMatrix GibbsKernel(const CostProvider& cost, double epsilon,
-                                  double cutoff,
-                                  NonFiniteCost* non_finite = nullptr);
+                                  double cutoff);
 
   /// The truncated *log-domain* Gibbs kernel: stores L = −C/ε at exactly
   /// the entries GibbsKernel would keep (e^{−C/ε} ≥ cutoff ⟺
@@ -60,11 +57,9 @@ class SparseMatrix {
   /// sparse kernels always share one sparsity pattern, so
   /// CheckTruncatedKernelSupport applies to both unchanged.
   static SparseMatrix LogGibbsKernel(const CostProvider& cost, double epsilon,
-                                     double cutoff,
-                                     NonFiniteCost* non_finite = nullptr);
+                                     double cutoff);
   static SparseMatrix LogGibbsKernel(const Matrix& cost, double epsilon,
-                                     double cutoff,
-                                     NonFiniteCost* non_finite = nullptr);
+                                     double cutoff);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }

@@ -15,7 +15,8 @@ namespace {
 template <typename T>
 using Lanes = simd::StorageLanes<T>;
 
-std::vector<float> Narrow(const std::vector<double>& src) {
+template <typename Doubles>
+std::vector<float> Narrow(const Doubles& src) {
   std::vector<float> out(src.size());
   for (size_t i = 0; i < src.size(); ++i) out[i] = static_cast<float>(src[i]);
   return out;
@@ -77,23 +78,10 @@ BasicDenseTransportKernel<T>::BasicDenseTransportKernel(
 
 template <typename T>
 BasicDenseTransportKernel<T> BasicDenseTransportKernel<T>::FromCost(
-    const Matrix& cost, double epsilon, size_t num_threads, ThreadPool* pool,
-    NonFiniteCost* non_finite) {
+    const Matrix& cost, double epsilon, size_t num_threads, ThreadPool* pool) {
   assert(epsilon > 0.0);
-  // Matrix::GibbsKernel's arithmetic, with the finite-cost check in the
-  // same pass.
-  Matrix kernel(cost.rows(), cost.cols());
-  const double* src = cost.data().data();
-  double* dst = kernel.data().data();
-  for (size_t i = 0; i < cost.size(); ++i) {
-    if (non_finite != nullptr && !std::isfinite(src[i])) {
-      non_finite->Offer(i / cost.cols(), i % cost.cols(), src[i]);
-      break;
-    }
-    dst[i] = std::exp(-src[i] / epsilon);
-  }
-  return BasicDenseTransportKernel(Storage(std::move(kernel)), num_threads,
-                                   pool);
+  return BasicDenseTransportKernel(Storage(cost.GibbsKernel(epsilon)),
+                                   num_threads, pool);
 }
 
 template <typename T>
@@ -231,19 +219,19 @@ BasicSparseTransportKernel<T>::BasicSparseTransportKernel(
 template <typename T>
 BasicSparseTransportKernel<T> BasicSparseTransportKernel<T>::FromCost(
     const Matrix& cost, double epsilon, double cutoff, size_t num_threads,
-    ThreadPool* pool, NonFiniteCost* non_finite) {
+    ThreadPool* pool) {
   return FromCost(MatrixCostProvider(cost), epsilon, cutoff, num_threads,
-                  pool, non_finite);
+                  pool);
 }
 
 template <typename T>
 BasicSparseTransportKernel<T> BasicSparseTransportKernel<T>::FromCost(
     const CostProvider& cost, double epsilon, double cutoff,
-    size_t num_threads, ThreadPool* pool, NonFiniteCost* non_finite) {
+    size_t num_threads, ThreadPool* pool) {
   assert(epsilon > 0.0);
   return BasicSparseTransportKernel(
-      Csr(SparseMatrix::GibbsKernel(cost, epsilon, cutoff, non_finite)),
-      num_threads, pool);
+      Csr(SparseMatrix::GibbsKernel(cost, epsilon, cutoff)), num_threads,
+      pool);
 }
 
 template <typename T>

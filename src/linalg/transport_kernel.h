@@ -222,11 +222,11 @@ class BasicDenseTransportKernel final : public TransportKernel {
                                      size_t num_threads = 0,
                                      ThreadPool* pool = nullptr);
 
-  /// Builds K = e^{−C/ε} from a cost matrix. `non_finite` (optional)
-  /// turns on the finite-cost check (see NonFiniteCost).
-  static BasicDenseTransportKernel FromCost(
-      const Matrix& cost, double epsilon, size_t num_threads = 0,
-      ThreadPool* pool = nullptr, NonFiniteCost* non_finite = nullptr);
+  /// Builds K = e^{−C/ε} from a cost matrix.
+  static BasicDenseTransportKernel FromCost(const Matrix& cost,
+                                            double epsilon,
+                                            size_t num_threads = 0,
+                                            ThreadPool* pool = nullptr);
 
   size_t rows() const override { return kernel_->rows(); }
   size_t cols() const override { return kernel_->cols(); }
@@ -274,18 +274,18 @@ class BasicSparseTransportKernel final : public TransportKernel {
   /// Builds the truncated kernel: entries of e^{−C/ε} below `cutoff` are
   /// dropped. Cutoff 0 keeps every entry and matches the dense kernel
   /// exactly.
-  static BasicSparseTransportKernel FromCost(
-      const Matrix& cost, double epsilon, double cutoff,
-      size_t num_threads = 0, ThreadPool* pool = nullptr,
-      NonFiniteCost* non_finite = nullptr);
+  static BasicSparseTransportKernel FromCost(const Matrix& cost,
+                                             double epsilon, double cutoff,
+                                             size_t num_threads = 0,
+                                             ThreadPool* pool = nullptr);
 
   /// Same, with the cost *streamed* from a provider tile-by-tile — the
   /// dense rows×cols cost matrix is never materialized, so a truncated
   /// solve's memory is O(nnz) end to end.
-  static BasicSparseTransportKernel FromCost(
-      const CostProvider& cost, double epsilon, double cutoff,
-      size_t num_threads = 0, ThreadPool* pool = nullptr,
-      NonFiniteCost* non_finite = nullptr);
+  static BasicSparseTransportKernel FromCost(const CostProvider& cost,
+                                             double epsilon, double cutoff,
+                                             size_t num_threads = 0,
+                                             ThreadPool* pool = nullptr);
 
   size_t rows() const override { return kern().rows(); }
   size_t cols() const override { return kern().cols(); }

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "linalg/aligned_allocator.h"
+
 namespace otclean::linalg {
 
 /// Dense double-precision vector.
@@ -16,7 +18,8 @@ class Vector {
  public:
   Vector() = default;
   explicit Vector(size_t n, double fill = 0.0) : data_(n, fill) {}
-  explicit Vector(std::vector<double> data) : data_(std::move(data)) {}
+  explicit Vector(const std::vector<double>& data)
+      : data_(data.begin(), data.end()) {}
 
   static Vector Ones(size_t n) { return Vector(n, 1.0); }
   static Vector Zeros(size_t n) { return Vector(n, 0.0); }
@@ -27,8 +30,8 @@ class Vector {
   double operator[](size_t i) const { return data_[i]; }
   double& operator[](size_t i) { return data_[i]; }
 
-  const std::vector<double>& data() const { return data_; }
-  std::vector<double>& data() { return data_; }
+  const AlignedDoubles& data() const { return data_; }
+  AlignedDoubles& data() { return data_; }
 
   double* begin() { return data_.data(); }
   double* end() { return data_.data() + data_.size(); }
@@ -77,7 +80,7 @@ class Vector {
   std::string ToString(size_t max_entries = 16) const;
 
  private:
-  std::vector<double> data_;
+  AlignedDoubles data_;
 };
 
 Vector operator+(Vector a, const Vector& b);

@@ -362,8 +362,8 @@ struct CacheSession {
 
   /// Find-or-build of a `Kernel` from `Kernel::FromCost(args...)` under
   /// the session key (a plain build when the session is inactive), held
-  /// as a `Base`. A miss checks every cost it streams for finiteness; a
-  /// hit streams none.
+  /// as a `Base`. A miss rejects a non-finite cost (BuildCheckedKernel);
+  /// a hit reads none.
   template <typename Kernel, typename Base = Kernel, typename... Args>
   Result<std::unique_ptr<const Base>> Acquire(size_t num_threads,
                                               linalg::ThreadPool* pool,
@@ -372,11 +372,8 @@ struct CacheSession {
         core::AcquiredKernel<Kernel> acquired,
         core::AcquireKernel<Kernel>(
             cache, key, num_threads, pool, [&](core::CachedKernel&) {
-              return BuildCheckedKernel(
-                  where, [&](linalg::NonFiniteCost* non_finite) {
-                    return Kernel::FromCost(args..., num_threads, pool,
-                                            non_finite);
-                  });
+              return BuildCheckedKernel<Kernel>(where, args..., num_threads,
+                                                pool);
             }));
     return std::unique_ptr<const Base>(
         std::make_unique<Kernel>(std::move(acquired.kernel)));

@@ -2,10 +2,12 @@
 #define OTCLEAN_OT_SINKHORN_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/exec_context.h"
 #include "common/result.h"
+#include "linalg/cost_provider.h"
 #include "linalg/log_transport_kernel.h"
 #include "linalg/matrix.h"
 #include "linalg/precision.h"
@@ -294,10 +296,10 @@ Result<SparseSinkhornResult> RunSinkhornSparse(
 /// naming the first offender in row-major order. A separate pass over the
 /// whole cost, for solvers that build no Gibbs kernel (QCLP, exact OT).
 /// The Sinkhorn paths (RunSinkhorn, RunSinkhornSparse, FastOTClean) check
-/// inside their kernel build instead — BuildCheckedKernel — so a cost is
-/// streamed once per miss and not at all on a solve-cache hit. Streams
-/// tile-by-tile, O(tile) memory; zero-copy when the provider has a dense
-/// backing.
+/// only when they build a kernel — BuildCheckedKernel, inside the build's
+/// own pass for a streamed cost — so a cost is streamed once per miss and
+/// not at all on a solve-cache hit. Streams tile-by-tile, O(tile) memory;
+/// zero-copy when the provider has a dense backing.
 Status ValidateFiniteCosts(const char* where,
                            const linalg::CostProvider& cost);
 
@@ -307,18 +309,40 @@ Status ValidateFiniteCosts(const char* where,
 Status NonFiniteCostError(const char* where, size_t row, size_t col,
                           double value);
 
-/// Runs `build(linalg::NonFiniteCost*)` — a kernel FromCost call with the
-/// finite-cost check on — and returns its kernel, or NonFiniteCostError
-/// for the first NaN/±inf it streamed (the incomplete kernel is dropped).
-template <typename Build>
-auto BuildCheckedKernel(const char* where, Build&& build)
-    -> Result<decltype(build(nullptr))> {
-  linalg::NonFiniteCost non_finite;
-  auto kernel = build(&non_finite);
-  if (const auto bad = non_finite.first()) {
+/// Runs `stream(view)` — a kernel build, or a materialization — over
+/// `cost` seen through linalg::FiniteCheckedCost, and returns its result,
+/// or NonFiniteCostError for the first NaN/±inf it streamed (the result is
+/// dropped). The check rides on the one cost pass the build makes.
+template <typename Stream>
+auto StreamChecked(const char* where, const linalg::CostProvider& cost,
+                   Stream&& stream)
+    -> Result<std::decay_t<decltype(stream(cost))>> {
+  const linalg::FiniteCheckedCost checked(cost);
+  auto built = stream(checked);
+  if (const auto bad = checked.first_non_finite()) {
     return NonFiniteCostError(where, bad->row, bad->col, bad->cost);
   }
-  return kernel;
+  return built;
+}
+
+/// `Kernel::FromCost(cost, args...)`, rejecting a non-finite cost: a
+/// streamed provider is checked as the build streams it (StreamChecked);
+/// an in-memory matrix is scanned first (ValidateFiniteCosts), since the
+/// dense linear kernel builds from the matrix itself.
+template <typename Kernel, typename... Args>
+Result<Kernel> BuildCheckedKernel(const char* where,
+                                  const linalg::CostProvider& cost,
+                                  const Args&... args) {
+  return StreamChecked(where, cost, [&](const linalg::CostProvider& view) {
+    return Kernel::FromCost(view, args...);
+  });
+}
+template <typename Kernel, typename... Args>
+Result<Kernel> BuildCheckedKernel(const char* where, const linalg::Matrix& cost,
+                                  const Args&... args) {
+  OTCLEAN_RETURN_NOT_OK(
+      ValidateFiniteCosts(where, linalg::MatrixCostProvider(cost)));
+  return Kernel::FromCost(cost, args...);
 }
 
 /// Verifies a truncated kernel can carry the marginals: every row i with

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 namespace otclean::prob {
 
@@ -102,7 +103,9 @@ double JointDistribution::TotalVariation(const JointDistribution& q) const {
 }
 
 size_t JointDistribution::Sample(Rng& rng) const {
-  return rng.NextCategorical(probs_.data());
+  const auto& w = probs_.data();
+  return rng.NextCategorical(w.data(), w.size(),
+                             std::accumulate(w.begin(), w.end(), 0.0));
 }
 
 std::vector<size_t> JointDistribution::SampleMany(size_t n, Rng& rng) const {

@@ -76,6 +76,29 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, size_t) noexcept { std::free(p); }
 void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
+// The over-aligned forms too: linalg::Matrix and Vector allocate their
+// doubles through them (linalg/aligned_allocator.h).
+void* operator new(size_t size, std::align_val_t align) {
+  Record(size);
+  const size_t a = static_cast<size_t>(align);
+  const size_t rounded = (size == 0 ? a : (size + a - 1) / a * a);
+  if (void* p = std::aligned_alloc(a, rounded)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
 namespace otclean::core {
 namespace {
 

@@ -562,9 +562,9 @@ TEST(TruncatedKernelBuildTest, CostsAtTheKeepThresholdMatchExpThenTest) {
   }
 }
 
-// The dense log kernel streams provider rows from pool workers; each chunk
-// stops at its own first non-finite cost, and the reported entry is still
-// the row-major first — the one a serial build reports.
+// The dense log kernel streams provider rows from pool workers through the
+// checking view; the reported entry is still the row-major first — the one
+// a serial build reports.
 TEST(TruncatedKernelBuildTest, ParallelDenseLogBuildReportsTheRowMajorFirst) {
   class PoisonedRows final : public linalg::CostProvider {
    public:
@@ -581,10 +581,9 @@ TEST(TruncatedKernelBuildTest, ParallelDenseLogBuildReportsTheRowMajorFirst) {
   const PoisonedRows cost;
   linalg::ThreadPool pool(4);
   for (const size_t threads : {1, 4}) {
-    linalg::NonFiniteCost non_finite;
-    (void)DenseLogTransportKernel::FromCost(cost, 0.1, threads, &pool,
-                                            &non_finite);
-    const auto bad = non_finite.first();
+    const linalg::FiniteCheckedCost checked(cost);
+    (void)DenseLogTransportKernel::FromCost(checked, 0.1, threads, &pool);
+    const auto bad = checked.first_non_finite();
     ASSERT_TRUE(bad.has_value()) << threads;
     EXPECT_EQ(bad->row, 137u) << threads;
     EXPECT_EQ(bad->col, 250u) << threads;

@@ -681,7 +681,7 @@ struct SolveProblem {
 };
 
 struct SolveOut {
-  std::vector<double> u, v;
+  linalg::AlignedDoubles u, v;
   size_t iterations = 0;
 };
 

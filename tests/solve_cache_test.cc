@@ -458,28 +458,45 @@ TEST(SolveCacheRepairTest, HitStreamsNoCostAndMissStreamsEachCostOnce) {
   const size_t cells = p.size();
   const prob::CiSpec ci{{0}, {1}, {2}};
   for (const double truncation : {0.0, 1e-4}) {
-    SolveCache cache;
-    const CountingCost cost;
-    FastOtCleanOptions opts;
-    opts.kernel_truncation = truncation;
-    opts.max_outer_iterations = 5;
-    opts.solve_cache = &cache;
-    Rng rng_miss(3);
-    const auto miss = FastOtClean(p, ci, cost, opts, rng_miss);
-    ASSERT_TRUE(miss.ok()) << miss.status().ToString();
-    EXPECT_EQ(miss->cache_kernel_misses, 1u);
-    // The build streams every cost once; the truncated kernel then gathers
-    // its support costs once (nnz calls), which ⟨C, π⟩ reuses thereafter.
-    const size_t support = truncation > 0.0 ? miss->kernel_nnz : 0;
-    EXPECT_EQ(cost.TakeCalls(), cells * cells + support)
-        << "truncation " << truncation;
+    for (const bool log_domain : {false, true}) {
+      SolveCache cache;
+      const CountingCost cost;
+      FastOtCleanOptions opts;
+      opts.kernel_truncation = truncation;
+      opts.log_domain = log_domain;
+      opts.max_outer_iterations = 5;
+      opts.solve_cache = &cache;
+      Rng rng_miss(3);
+      const auto miss = FastOtClean(p, ci, cost, opts, rng_miss);
+      ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+      EXPECT_EQ(miss->cache_kernel_misses, 1u);
+      // Outside the build: the truncated kernels gather their support costs
+      // once (nnz calls) and ⟨C, π⟩ reuses them; the dense linear kernel
+      // reads the cached materialized cost; the dense log kernel streams
+      // the whole cost for ⟨C, π⟩ at every outer step and for the final
+      // plan, hit or miss.
+      size_t outside_build = 0;
+      if (truncation > 0.0) {
+        outside_build = miss->kernel_nnz;
+      } else if (log_domain) {
+        outside_build = (miss->objective_trace.size() + 1) * cells * cells;
+      }
+      // The build streams every cost once.
+      EXPECT_EQ(cost.TakeCalls(), cells * cells + outside_build)
+          << "truncation " << truncation << " log " << log_domain;
 
-    Rng rng_hit(3);
-    const auto hit = FastOtClean(p, ci, cost, opts, rng_hit);
-    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
-    EXPECT_EQ(hit->cache_kernel_hits, 1u);
-    EXPECT_EQ(cost.TakeCalls(), 0u) << "truncation " << truncation;
-    EXPECT_EQ(hit->transport_cost, miss->transport_cost);
+      Rng rng_hit(3);
+      const auto hit = FastOtClean(p, ci, cost, opts, rng_hit);
+      ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+      EXPECT_EQ(hit->cache_kernel_hits, 1u);
+      const size_t hit_outside =
+          truncation == 0.0 && log_domain
+              ? (hit->objective_trace.size() + 1) * cells * cells
+              : 0;
+      EXPECT_EQ(cost.TakeCalls(), hit_outside)
+          << "truncation " << truncation << " log " << log_domain;
+      EXPECT_EQ(hit->transport_cost, miss->transport_cost);
+    }
   }
 }
 
