@@ -36,10 +36,9 @@ namespace {
 ///
 /// The truncated paths are cost-free in the O(rows×cols) sense: the
 /// kernel is built by streaming the CostProvider tile-by-tile, and every
-/// ⟨C, π⟩ evaluation gathers cost entries only at the kernel's support —
-/// the dense cost matrix is materialized exclusively for the dense
-/// linear path (the dense log kernel streams the provider straight into
-/// L = −C/ε).
+/// ⟨C, π⟩ evaluation gathers cost entries only at the kernel's support.
+/// The dense paths materialize the cost matrix once per build, since their
+/// kernel already holds rows×cols entries.
 class OuterLoopKernel {
  public:
   OuterLoopKernel() = default;
@@ -76,9 +75,14 @@ class OuterLoopKernel {
                               linalg::Vector& scratch,
                               linalg::Vector& target_mass) const = 0;
 
-  /// ⟨C, π⟩ at the current potentials: in-memory cost rows on the dense
-  /// linear path, the cached O(nnz) support costs on the sparse ones, the
-  /// streamed provider on the dense log path.
+  /// Row marginal of the plan, the mirror image: u ∘ (K v) linearly,
+  /// e^{lu + logsumexp} in log mode.
+  virtual void RowMarginal(const linalg::Vector& u, const linalg::Vector& v,
+                           linalg::Vector& scratch,
+                           linalg::Vector& source_mass) const = 0;
+
+  /// ⟨C, π⟩ at the current potentials: the cached materialized cost on the
+  /// dense paths, the cached O(nnz) support costs on the sparse ones.
   virtual double TransportCost(const linalg::Vector& u,
                                const linalg::Vector& v) const = 0;
 
@@ -99,11 +103,10 @@ struct IsSparseStorage<linalg::BasicSparseKernelStorage<T>> : std::true_type {
 };
 
 /// OuterLoopKernel over one concrete kernel type. The kernel's cache entry
-/// carries the companions its TransportCost reads: the support costs
-/// (sparse paths, C gathered once at the kernel's support so the outer
-/// loop never re-invokes the cost function) or the materialized cost
-/// (dense linear path, the zero-copy ⟨C, π⟩ fast path); the dense log
-/// path streams the borrowed provider instead.
+/// carries the companion its TransportCost reads, so the outer loop never
+/// re-invokes the cost function: the support costs (sparse paths, C
+/// gathered once at the kernel's support) or the materialized cost (dense
+/// paths, the zero-copy ⟨C, π⟩ fast path).
 template <typename Kernel>
 class KernelOuterLoop final : public OuterLoopKernel {
  public:
@@ -115,8 +118,7 @@ class KernelOuterLoop final : public OuterLoopKernel {
   /// Finds or builds the kernel. `cache` (nullable) with an invalid `key`
   /// is a silent no-op, so the uncached construction path is unchanged. A
   /// hit adopts the cached storage — the same bytes the miss built, hence
-  /// bit-identical arithmetic — and streams no cost to build (the dense
-  /// log path's TransportCost still streams it per outer step). A miss
+  /// bit-identical arithmetic — and streams no cost. A miss
   /// builds it, checking every streamed cost for finiteness (`where` names
   /// the repair in the error), and publishes it with its companions; a
   /// rejected build publishes nothing. `poison` (FaultSite::kKernelNan,
@@ -138,7 +140,7 @@ class KernelOuterLoop final : public OuterLoopKernel {
 
   KernelOuterLoop(AcquiredKernel<Kernel> acquired,
                   const linalg::CostProvider& cost)
-      : acquired_(std::move(acquired)), cost_(cost) {
+      : acquired_(std::move(acquired)) {
     // A hit on an entry published without the companion rebuilds it here.
     CachedKernel& entry = acquired_.entry;
     if constexpr (kSparse) {
@@ -146,7 +148,7 @@ class KernelOuterLoop final : public OuterLoopKernel {
         entry.support_costs = std::make_shared<const std::vector<double>>(
             kernel().GatherSupportCosts(cost));
       }
-    } else if constexpr (!kLog) {
+    } else {
       if (!entry.dense_cost) {
         entry.dense_cost = std::make_shared<const linalg::Matrix>(
             linalg::MaterializeCostMatrix(cost));
@@ -197,16 +199,21 @@ class KernelOuterLoop final : public OuterLoopKernel {
                       linalg::Vector& target_mass) const override {
     if constexpr (kLog) {
       kernel().LogApplyTranspose(u, scratch);
-      if (target_mass.size() != scratch.size()) {
-        target_mass = linalg::Vector(scratch.size());
-      }
-      for (size_t j = 0; j < scratch.size(); ++j) {
-        target_mass[j] = linalg::simd::PolyExp(scratch[j] + v[j]);
-      }
     } else {
       kernel().ApplyTranspose(u, scratch);
-      target_mass = scratch.CwiseProduct(v);
     }
+    ScaleApplied(scratch, v, target_mass);
+  }
+
+  void RowMarginal(const linalg::Vector& u, const linalg::Vector& v,
+                   linalg::Vector& scratch,
+                   linalg::Vector& source_mass) const override {
+    if constexpr (kLog) {
+      kernel().LogApply(v, scratch);
+    } else {
+      kernel().Apply(v, scratch);
+    }
+    ScaleApplied(scratch, u, source_mass);
   }
 
   double TransportCost(const linalg::Vector& u,
@@ -215,7 +222,8 @@ class KernelOuterLoop final : public OuterLoopKernel {
       return kernel().SupportTransportCost(*acquired_.entry.support_costs, u,
                                            v);
     } else if constexpr (kLog) {
-      return kernel().TransportCost(cost_, u, v);
+      return kernel().TransportCost(
+          linalg::MatrixCostProvider(*acquired_.entry.dense_cost), u, v);
     } else {
       return kernel().TransportCost(*acquired_.entry.dense_cost, u, v);
     }
@@ -266,9 +274,6 @@ class KernelOuterLoop final : public OuterLoopKernel {
       return ot::BuildCheckedKernel<Kernel>(where, cost, options.epsilon,
                                             options.kernel_truncation,
                                             threads, pool);
-    } else if constexpr (kLog) {
-      return ot::BuildCheckedKernel<Kernel>(where, cost, options.epsilon,
-                                            threads, pool);
     } else {
       // The check rides on the stream that materializes the cost; the
       // kernel then builds from the checked matrix.
@@ -311,11 +316,25 @@ class KernelOuterLoop final : public OuterLoopKernel {
     }
   }
 
+  /// The marginal from one kernel application `applied` (K·v or Kᵀ·u, or
+  /// their log-sum-exps) and the other side's potential: their product
+  /// linearly, e^{applied + potential} in log mode.
+  static void ScaleApplied(const linalg::Vector& applied,
+                           const linalg::Vector& potential,
+                           linalg::Vector& mass) {
+    if constexpr (kLog) {
+      if (mass.size() != applied.size()) mass = linalg::Vector(applied.size());
+      for (size_t i = 0; i < applied.size(); ++i) {
+        mass[i] = linalg::simd::PolyExp(applied[i] + potential[i]);
+      }
+    } else {
+      mass = applied.CwiseProduct(potential);
+    }
+  }
+
   const Kernel& kernel() const { return acquired_.kernel; }
 
   AcquiredKernel<Kernel> acquired_;
-  /// Borrowed build view; the dense log path streams ⟨C, π⟩ from it.
-  const linalg::CostProvider& cost_;
 };
 
 /// Finds or builds the outer-loop kernel for `options`: the shape from the
@@ -573,20 +592,175 @@ prob::JointDistribution IterativeNmfProjection(
 }
 
 /// Outer step B's CI projection of the plan's target marginal, chosen once
-/// per repair.
-using CiProjector =
-    std::function<prob::JointDistribution(const prob::JointDistribution&)>;
+/// per repair. It may use the repair's `prob::CiProjector` (built once).
+using ProjectionStep = std::function<prob::JointDistribution(
+    const prob::CiProjector&, const prob::JointDistribution&)>;
+
+/// The relaxed objective (Eq. 11) of the plan π = diag(u)·K·diag(v)
+/// against the target `q_cols`:
+///   J = ⟨C,π⟩ + ε Σ π(log π − 1) + λ KL(π1 ‖ p) + λ KL(πᵀ1 ‖ q)
+///     = ε (Σᵢ rᵢ log uᵢ + Σⱼ cⱼ log vⱼ − Σπ) + λ KL(r ‖ p) + λ KL(c ‖ q),
+/// with r = π1, c = πᵀ1 (`col_mass`, unnormalized) and the generalized
+/// KL(a ‖ b) = Σ a log(a/b) − a + b. On the log paths u and v are already
+/// log-potentials. Costs one extra kernel application, for r.
+double RelaxedObjective(const OuterLoopKernel& kernel, const linalg::Vector& p,
+                        const linalg::Vector& q_cols, const linalg::Vector& u,
+                        const linalg::Vector& v,
+                        const linalg::Vector& col_mass, double epsilon,
+                        double lambda, linalg::Vector& scratch) {
+  linalg::Vector row_mass;
+  kernel.RowMarginal(u, v, scratch, row_mass);
+  const bool log_domain = kernel.log_domain();
+  double entropic = 0.0;
+  double mass = 0.0;
+  double kl = 0.0;
+  const auto add = [&](double a, double potential, double b) {
+    if (a > 0.0) {
+      entropic += a * (log_domain ? potential : std::log(potential));
+      kl += a * std::log(a / b);
+    }
+    kl += b - a;
+  };
+  for (size_t i = 0; i < row_mass.size(); ++i) {
+    add(row_mass[i], u[i], p[i]);
+    mass += row_mass[i];
+  }
+  for (size_t j = 0; j < col_mass.size(); ++j) {
+    add(col_mass[j], v[j], q_cols[j]);
+  }
+  return epsilon * (entropic - mass) + lambda * kl;
+}
+
+/// The outer loop starts mixing once its TV residual first falls below
+/// this: mixing from the first step lands the loop on a worse fixed point
+/// (a higher relaxed objective) on strongly violated tables.
+constexpr double kMixStartDelta = 1e-3;
+/// Iterates whose residuals the mix combines.
+constexpr size_t kMixDepth = 10;
+/// Tikhonov weight of the mixing least squares, relative to the trace of
+/// its Gram matrix: an ill-conditioned secant step otherwise amplifies
+/// rounding noise (e.g. the last bits of the linear vs log-domain paths)
+/// into visibly different repairs.
+constexpr double kMixRegularization = 1e-3;
+
+/// Anderson mixing (Walker & Ni 2011) of the outer fixed-point map
+/// x ← G(x), x the target Q over the domain. From the residuals
+/// f = G(x) − x of the last kMixDepth iterates the next iterate is
+/// G(x) − ΔG·γ, where ΔG and ΔF hold the successive differences of G(x)
+/// and f, and γ = argmin ‖f − ΔF γ‖² + μ‖γ‖², μ = kMixRegularization ·
+/// trace(ΔFᵀΔF). The history restarts whenever ‖f‖₂ grows.
+class AndersonMixer {
+ public:
+  /// Records the iterate x and its image g = G(x). Returns the mixed next
+  /// iterate (unclipped, unnormalized), or nullopt when the history holds
+  /// no difference to mix — the next iterate is then g itself.
+  std::optional<linalg::Vector> Push(const linalg::Vector& x,
+                                     const linalg::Vector& g) {
+    linalg::Vector f = g - x;
+    const double norm = std::sqrt(SerialDot(f, f));
+    if (!prev_g_.empty() && norm > prev_norm_) Clear();
+    if (!prev_g_.empty()) {
+      if (dg_.size() + 1 == kMixDepth) {
+        dg_.erase(dg_.begin());
+        df_.erase(df_.begin());
+      }
+      dg_.push_back(g - prev_g_);
+      df_.push_back(f - prev_f_);
+    }
+    prev_g_ = g;
+    prev_f_ = f;
+    prev_norm_ = norm;
+    if (df_.empty()) return std::nullopt;
+
+    // Normal equations (ΔFᵀΔF + μI) γ = ΔFᵀf, solved by Cholesky.
+    const size_t k = df_.size();
+    std::vector<double> a(k * k), gamma(k);
+    double trace = 0.0;
+    for (size_t i = 0; i < k; ++i) {
+      for (size_t j = 0; j <= i; ++j) {
+        a[i * k + j] = a[j * k + i] = SerialDot(df_[i], df_[j]);
+      }
+      gamma[i] = SerialDot(df_[i], f);
+      trace += a[i * k + i];
+    }
+    if (!(trace > 0.0) || !std::isfinite(trace)) return std::nullopt;
+    for (size_t i = 0; i < k; ++i) a[i * k + i] += kMixRegularization * trace;
+    for (size_t j = 0; j < k; ++j) {  // a = L Lᵀ, L in the lower half
+      double* lj = &a[j * k];
+      for (size_t m = 0; m < j; ++m) lj[j] -= lj[m] * lj[m];
+      lj[j] = std::sqrt(lj[j]);
+      for (size_t i = j + 1; i < k; ++i) {
+        double* li = &a[i * k];
+        for (size_t m = 0; m < j; ++m) li[j] -= li[m] * lj[m];
+        li[j] /= lj[j];
+      }
+    }
+    for (size_t i = 0; i < k; ++i) {  // L y = b
+      for (size_t m = 0; m < i; ++m) gamma[i] -= a[i * k + m] * gamma[m];
+      gamma[i] /= a[i * k + i];
+    }
+    for (size_t i = k; i-- > 0;) {  // Lᵀ γ = y
+      for (size_t m = i + 1; m < k; ++m) gamma[i] -= a[m * k + i] * gamma[m];
+      gamma[i] /= a[i * k + i];
+    }
+
+    linalg::Vector next = g;
+    for (size_t c = 0; c < k; ++c) {
+      for (size_t e = 0; e < next.size(); ++e) next[e] -= gamma[c] * dg_[c][e];
+    }
+    return next;
+  }
+
+  void Clear() {
+    dg_.clear();
+    df_.clear();
+    prev_g_ = linalg::Vector();
+    prev_f_ = linalg::Vector();
+  }
+
+ private:
+  /// In index order on every SIMD tier, so the mix is tier-independent.
+  static double SerialDot(const linalg::Vector& a, const linalg::Vector& b) {
+    double s = 0.0;
+    for (size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
+    return s;
+  }
+
+  std::vector<linalg::Vector> dg_, df_;
+  linalg::Vector prev_g_, prev_f_;
+  double prev_norm_ = 0.0;
+};
+
+/// A mixed target's fallback, restored if the mixed step is rejected: the
+/// plain step's target G(Q), and the potentials solved against Q with Q's
+/// column restriction.
+struct PlainStep {
+  prob::JointDistribution target;
+  linalg::Vector u, v, q_cols;
+};
 
 /// THE FastOTClean outer loop (Algorithm 2): alternate a warm-started
 /// Sinkhorn solve against the current target Q (step A) with a CI
 /// projection of the plan's target marginal (step B) until Q stops
 /// moving. `project` is the projection strategy; `where` prefixes errors.
+///
+/// Steps A and B together are the fixed-point map Q ← G(Q), whose TV
+/// residual shrinks only slowly near the fixed point. Once it falls below
+/// kMixStartDelta (and CI enforcement is exact, ci_strength = 1) each next
+/// target is the Anderson mix of the recent iterates, clipped at 0,
+/// normalized and re-projected onto the CI set. The exact relaxed
+/// objective guards every mixed step: if J after its solve exceeds J
+/// before it, the step is rolled back to the plain target G(Q) and its
+/// potentials, the mixing history restarts, and the rejected point is
+/// never declared converged. Plain steps decrease J (alternating
+/// minimization), so the guard keeps the loop on the plain loop's fixed
+/// point.
 Result<FastOtCleanResult> RunFastOtClean(const char* where,
                                          const prob::JointDistribution& p_data,
                                          const std::vector<prob::CiSpec>& cis,
                                          const ot::CostFunction& cost,
                                          const FastOtCleanOptions& options,
-                                         const CiProjector& project,
+                                         const ProjectionStep& project,
                                          Rng& rng, const ExecContext& ctx) {
   const auto invalid = [&](const char* what) {
     return Status::InvalidArgument(std::string(where) + ": " + what);
@@ -645,13 +819,15 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
       ctx.faults != nullptr && ctx.faults->ShouldFire(FaultSite::kKernelNan);
 
   // Initial target distribution Q (Section 5, default optimization 2).
+  // The projector's index tables serve every projection of this repair.
+  const prob::CiProjector projector(dom, cis);
   prob::JointDistribution q(dom);
   if (options.nmf_init) {
-    q = prob::MultiCiProjection(p_data, cis);
+    q = projector.Project(p_data);
   } else {
     for (size_t i = 0; i < q.size(); ++i) q[i] = rng.NextDouble();
     q.Normalize();
-    q = prob::MultiCiProjection(q, cis);  // random but feasible start
+    q = projector.Project(q);  // random but feasible start
   }
 
   ot::SinkhornOptions sink;
@@ -698,6 +874,15 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
       cost_view, p, q, col_cells, options, sink, fast_fp,
       kernel->log_domain(), pool, ctx, warm_u, warm_v, result));
 
+  // The mixing state: engaged once the residual first drops below
+  // kMixStartDelta; `j_accepted` is J at the last accepted solve, and
+  // `pending` the plain step a mixed target replaced.
+  const bool may_mix = options.ci_strength >= 1.0;
+  bool mixing = false;
+  AndersonMixer mixer;
+  std::optional<PlainStep> pending;
+  double j_accepted = 0.0;
+  linalg::Vector q_cols(col_cells.size()), kv;
   for (size_t outer = 0; outer < options.max_outer_iterations; ++outer) {
     OTCLEAN_RETURN_NOT_OK(CheckStop(ctx, where));
     // Inexact inner solves: while Q still moves by δ per outer step, a
@@ -710,7 +895,6 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
           std::max(options.sinkhorn_tolerance, 0.1 * result.final_outer_delta);
     }
     // --- Outer step A: transport plan against the current Q (Sinkhorn). ---
-    linalg::Vector q_cols(col_cells.size());
     for (size_t j = 0; j < col_cells.size(); ++j) q_cols[j] = q[col_cells[j]];
 
     const linalg::Vector* wu =
@@ -727,6 +911,7 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
     result.final_inner_omega = sr.omega;
     if (!sr.converged) ++result.capped_inner_solves;
     result.objective_trace.push_back(kernel->TransportCost(warm_u, warm_v));
+    result.outer_iterations = outer + 1;
 
     // --- Outer step B: project the plan's target marginal back onto the
     // CI constraints (Algorithm 2 lines 8–13). ---
@@ -737,9 +922,27 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
     if (total <= 0.0) {
       return Status::Internal(std::string(where) + ": plan lost all mass");
     }
+    if (mixing) {
+      const double j = RelaxedObjective(*kernel, p, q_cols, warm_u, warm_v,
+                                        target_mass, options.epsilon,
+                                        options.lambda, kv);
+      if (pending.has_value() && !(j <= j_accepted)) {
+        // The mixed step raised J: take the plain step instead.
+        q = std::move(pending->target);
+        warm_u = std::move(pending->u);
+        warm_v = std::move(pending->v);
+        q_cols = std::move(pending->q_cols);
+        pending.reset();
+        mixer.Clear();
+        ++result.rejected_mixes;
+        continue;
+      }
+      pending.reset();
+      j_accepted = j;
+    }
     target_mass /= total;
     prob::JointDistribution t = ExpandToDomain(dom, col_cells, target_mass);
-    prob::JointDistribution q_proj = project(t);
+    prob::JointDistribution q_proj = project(projector, t);
 
     if (options.ci_strength < 1.0) {
       // Soft enforcement: blend projection with the raw marginal (finite μ).
@@ -751,19 +954,46 @@ Result<FastOtCleanResult> RunFastOtClean(const char* where,
     }
 
     const double delta = q.TotalVariation(q_proj);
-    q = std::move(q_proj);
-    result.outer_iterations = outer + 1;
     result.final_outer_delta = delta;
     if (delta <= options.outer_tolerance) {
+      q = std::move(q_proj);
       result.converged = true;
       break;
     }
+    mixing = mixing || (may_mix && delta < kMixStartDelta);
+    std::optional<linalg::Vector> mixed;
+    if (mixing) mixed = mixer.Push(q.probs(), q_proj.probs());
+    if (!mixed.has_value()) {
+      q = std::move(q_proj);
+      continue;
+    }
+    // The mixed target: clipped at 0, normalized, re-projected.
+    prob::JointDistribution q_mix(dom);
+    for (size_t i = 0; i < q_mix.size(); ++i) {
+      q_mix[i] = std::max(0.0, (*mixed)[i]);
+    }
+    if (!(q_mix.Mass() > 0.0)) {
+      q = std::move(q_proj);
+      continue;
+    }
+    q_mix.Normalize();
+    pending = PlainStep{std::move(q_proj), warm_u, warm_v, q_cols};
+    q = projector.Project(q_mix);
+    ++result.mixed_outer_steps;
   }
+  // A mixed target the cap left unsolved gives way to its plain step: the
+  // returned target is G of the returned plan's target, as without mixing.
+  if (pending.has_value()) q = std::move(pending->target);
 
+  linalg::Vector final_cols;
+  kernel->ColumnMarginal(warm_u, warm_v, ktu, final_cols);
+  result.final_relaxed_objective =
+      RelaxedObjective(*kernel, p, q_cols, warm_u, warm_v, final_cols,
+                       options.epsilon, options.lambda, kv);
   result.plan = kernel->MaterializePlan(dom, row_cells, col_cells, warm_u,
                                         warm_v, result.transport_cost);
   result.target = q;
-  result.target_cmi = prob::MaxCmi(q, cis);
+  result.target_cmi = projector.MaxCmi(q);
   StoreCachedWarmStart(options.solve_cache, cache_key, options,
                        kernel->log_domain(), warm_u, warm_v,
                        warm_cold_baseline, result);
@@ -784,7 +1014,7 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
   }
   return RunFastOtClean(
       "FastOtClean", p_data, {ci}, cost, options,
-      [&](const prob::JointDistribution& t) {
+      [&](const prob::CiProjector&, const prob::JointDistribution& t) {
         return IterativeNmfProjection(t, ci, options.nmf_max_iterations, rng);
       },
       rng, ctx);
@@ -796,8 +1026,8 @@ Result<FastOtCleanResult> FastOtCleanMulti(
     const FastOtCleanOptions& options, Rng& rng, const ExecContext& ctx) {
   return RunFastOtClean(
       "FastOtCleanMulti", p_data, cis, cost, options,
-      [&](const prob::JointDistribution& t) {
-        return prob::MultiCiProjection(t, cis);
+      [](const prob::CiProjector& projector, const prob::JointDistribution& t) {
+        return projector.Project(t);
       },
       rng, ctx);
 }

@@ -146,6 +146,15 @@ struct FastOtCleanResult {
   /// Over-relaxation factor ω the last inner solve ended at (1 = plain
   /// updates; see ot/overrelaxation.h).
   double final_inner_omega = 1.0;
+  /// Outer steps whose target was an Anderson mix of the recent iterates
+  /// instead of the plain projection (the loop mixes once its TV residual
+  /// falls below 1e-3; see README "The outer loop").
+  size_t mixed_outer_steps = 0;
+  /// Mixed steps rolled back because they raised the relaxed objective.
+  size_t rejected_mixes = 0;
+  /// Relaxed objective (Eq. 11) of the returned plan against the target it
+  /// was solved for: ⟨C,π⟩ + ε Σπ(log π − 1) + λ KL(π1‖P) + λ KL(πᵀ1‖Q).
+  double final_relaxed_objective = 0.0;
   /// CMI of the target w.r.t. the constraint (should be ~0).
   double target_cmi = 0.0;
   /// Final transport cost ⟨C, π⟩.

@@ -242,8 +242,10 @@ Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
   linalg::Vector b_rhs(num_rows, 0.0);
   for (size_t i = 0; i < m; ++i) b_rhs[i] = p[i];
 
-  // Current CI-consistent estimate of the target distribution.
-  prob::JointDistribution q = prob::MultiCiProjection(p_data, cis);
+  // Current CI-consistent estimate of the target distribution; the
+  // projector's index tables serve every outer step.
+  const prob::CiProjector projector(dom, cis);
+  prob::JointDistribution q = projector.Project(p_data);
 
   QclpResult result;
   linalg::Matrix plan(m, n, 0.0);
@@ -313,7 +315,7 @@ Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
     prob::JointDistribution t(dom);
     for (size_t j = 0; j < n; ++j) t[col_cells[j]] = col_mass[j];
     t.Normalize();
-    prob::JointDistribution q_new = prob::MultiCiProjection(t, cis);
+    prob::JointDistribution q_new = projector.Project(t);
 
     const double delta = q.TotalVariation(q_new);
     q = std::move(q_new);
@@ -326,7 +328,7 @@ Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
 
   result.plan = ot::TransportPlan(dom, row_cells, col_cells, plan);
   result.target = q;
-  result.target_cmi = prob::MaxCmi(q, cis);
+  result.target_cmi = projector.MaxCmi(q);
   // Streamed plan·cost dot product — tiles, never a dense cost matrix.
   double transport_cost = 0.0;
   std::vector<double> tile(std::min<size_t>(n, linalg::kCostStreamTileCols));

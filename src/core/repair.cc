@@ -41,6 +41,9 @@ void PopulateFastSolveReport(const FastOtCleanResult& r,
   report.final_outer_delta = r.final_outer_delta;
   report.final_inner_tolerance = r.final_inner_tolerance;
   report.final_inner_omega = r.final_inner_omega;
+  report.mixed_outer_steps = r.mixed_outer_steps;
+  report.rejected_mixes = r.rejected_mixes;
+  report.final_relaxed_objective = r.final_relaxed_objective;
   report.kernel_nnz = r.kernel_nnz;
   report.sinkhorn_domain = fast.log_domain ? "log" : "linear";
   report.precision = linalg::PrecisionName(fast.precision);
@@ -143,6 +146,46 @@ CapuchinPlanResult BuildCapuchinPlan(const prob::JointDistribution& p,
                                       std::move(col_index),
                                       std::move(values)));
   return out;
+}
+
+/// Applies a fitted plan to every row of `table`: each row complete over
+/// `cols` (the plan's domain `dom`, in order) is encoded, repaired by a
+/// sample from the plan (or its MAP move), and written back decoded; rows
+/// with a missing value there pass through. Rows draw from `rng` in row
+/// order, one draw per complete row, so the output equals a row-by-row
+/// RepairRow loop; the columns are copied once and rebuilt into a table
+/// once.
+Result<dataset::Table> ApplyPlan(const dataset::Table& table,
+                                 const std::vector<size_t>& cols,
+                                 const prob::Domain& dom,
+                                 const ot::TransportPlan& plan, bool sample,
+                                 Rng& rng) {
+  std::vector<std::vector<int>> columns(table.num_columns());
+  for (size_t c = 0; c < columns.size(); ++c) columns[c] = table.ColumnData(c);
+  std::vector<int*> codes(cols.size());
+  for (size_t i = 0; i < cols.size(); ++i) codes[i] = columns[cols[i]].data();
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    size_t cell = 0;
+    bool complete = true;
+    for (size_t i = 0; i < cols.size(); ++i) {
+      const int v = codes[i][r];
+      if (v == dataset::kMissing) {
+        complete = false;
+        break;
+      }
+      cell = cell * dom.Cardinality(i) + static_cast<size_t>(v);
+    }
+    if (!complete) continue;
+    size_t repaired =
+        sample ? plan.SampleRepair(cell, rng) : plan.MapRepair(cell);
+    if (repaired == cell) continue;
+    for (size_t i = cols.size(); i-- > 0;) {
+      const size_t card = dom.Cardinality(i);
+      codes[i][r] = static_cast<int>(repaired % card);
+      repaired /= card;
+    }
+  }
+  return dataset::Table::FromColumns(table.schema(), std::move(columns));
 }
 
 /// A failure the RetryOptions fallbacks can plausibly fix: an explicit
@@ -392,11 +435,8 @@ Result<dataset::Table> OtCleanRepairer::Apply(const dataset::Table& table,
   if (!fitted_) {
     return Status::FailedPrecondition("OtCleanRepairer::Apply before Fit");
   }
-  dataset::Table out(table.schema());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    OTCLEAN_RETURN_NOT_OK(out.AppendRow(RepairRow(table.Row(r), rng)));
-  }
-  return out;
+  return ApplyPlan(table, cleaned_cols_, domain_, plan_,
+                   options_.sample_repair, rng);
 }
 
 namespace {
@@ -565,34 +605,12 @@ Result<RepairReport> RepairTableMultiOnce(
     plan = std::move(r.plan);
   }
 
-  // Apply the cleaner row by row over the union columns.
+  // Apply the cleaner over the union columns.
   Rng apply_rng(options.seed ^ 0xfeedbeefull);
-  dataset::Table repaired(schema);
-  for (size_t row_idx = 0; row_idx < table.num_rows(); ++row_idx) {
-    std::vector<int> row = table.Row(row_idx);
-    size_t cell = 0;
-    bool complete = true;
-    for (size_t i = 0; i < u_cols.size(); ++i) {
-      const int v = row[u_cols[i]];
-      if (v == dataset::kMissing) {
-        complete = false;
-        break;
-      }
-      cell = cell * domain.Cardinality(i) + static_cast<size_t>(v);
-    }
-    if (complete) {
-      const size_t repaired_cell = options.sample_repair
-                                       ? plan.SampleRepair(cell, apply_rng)
-                                       : plan.MapRepair(cell);
-      if (repaired_cell != cell) {
-        const std::vector<int> values = domain.Decode(repaired_cell);
-        for (size_t i = 0; i < u_cols.size(); ++i) {
-          row[u_cols[i]] = values[i];
-        }
-      }
-    }
-    OTCLEAN_RETURN_NOT_OK(repaired.AppendRow(row));
-  }
+  OTCLEAN_ASSIGN_OR_RETURN(
+      dataset::Table repaired,
+      ApplyPlan(table, u_cols, domain, plan, options.sample_repair,
+                apply_rng));
 
   const prob::JointDistribution p_after = repaired.Empirical(u_cols);
   report.final_cmi = prob::MaxCmi(p_after, specs);

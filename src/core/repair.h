@@ -93,12 +93,16 @@ struct RepairReport {
   bool converged = false;
   /// FastOTClean convergence diagnostics (FastOtCleanResult): inner solves
   /// stopped by their iteration cap, the last outer step's TV delta of Q,
-  /// and the tolerance and over-relaxation factor ω of the last inner
-  /// solve. Zero (ω: 1) for QCLP.
+  /// the tolerance and over-relaxation factor ω of the last inner solve,
+  /// the Anderson-mixed outer steps and the ones the objective guard
+  /// rolled back, and the final relaxed objective. Zero (ω: 1) for QCLP.
   size_t capped_inner_solves = 0;
   double final_outer_delta = 0.0;
   double final_inner_tolerance = 0.0;
   double final_inner_omega = 1.0;
+  size_t mixed_outer_steps = 0;
+  size_t rejected_mixes = 0;
+  double final_relaxed_objective = 0.0;
   /// Plan storage diagnostics: CSR-backed plans (kernel_truncation > 0)
   /// report their structural nonzeros; dense plans report rows×cols.
   bool plan_sparse = false;

@@ -15,6 +15,8 @@ std::vector<size_t> Concat(const std::vector<size_t>& a,
   return out;
 }
 
+}  // namespace
+
 /// Index tables of one CI spec over one domain: for every cell its index
 /// in the XZ, YZ, Z and XYZ marginal domains, and for every XYZ cell its
 /// XZ, YZ and Z index. Built once, they replace the per-cell
@@ -22,13 +24,13 @@ std::vector<size_t> Concat(const std::vector<size_t>& a,
 /// CMI pass; the passes below visit cells in the same order as
 /// JointDistribution::Marginal/ConditionalOn, so every sum is bit-identical
 /// to theirs.
-struct CiIndex {
+struct CiProjector::Index {
   std::vector<size_t> xz, yz, z, xyz;                 // per domain cell
   std::vector<size_t> xyz_to_xz, xyz_to_yz, xyz_to_z;  // per XYZ cell
   size_t xz_size = 0, yz_size = 0, z_size = 0;
   bool has_z = false;
 
-  CiIndex(const Domain& dom, const CiSpec& ci) : has_z(!ci.z.empty()) {
+  Index(const Domain& dom, const CiSpec& ci) : has_z(!ci.z.empty()) {
     const auto xz_attrs = Concat(ci.x, ci.z);
     const auto yz_attrs = Concat(ci.y, ci.z);
     const auto xyz_attrs = Concat(Concat(ci.x, ci.y), ci.z);
@@ -55,6 +57,9 @@ struct CiIndex {
     }
   }
 };
+
+namespace {
+using CiIndex = CiProjector::Index;
 
 /// JointDistribution::Marginal through an index table: nonzero cells
 /// summed in cell order.
@@ -159,31 +164,39 @@ double MutualInformation(const JointDistribution& p,
   return ConditionalMutualInformation(p, ci);
 }
 
-JointDistribution MultiCiProjection(const JointDistribution& p,
-                                    const std::vector<CiSpec>& cis,
-                                    size_t max_sweeps, double tol) {
+CiProjector::CiProjector(const Domain& domain,
+                         const std::vector<CiSpec>& cis) {
+  index_.reserve(cis.size());
+  for (const CiSpec& ci : cis) index_.emplace_back(domain, ci);
+}
+
+CiProjector::~CiProjector() = default;
+
+JointDistribution CiProjector::Project(const JointDistribution& p,
+                                       size_t max_sweeps, double tol) const {
   JointDistribution q = p;
-  if (cis.empty()) return q;
-  std::vector<CiIndex> index;
-  index.reserve(cis.size());
-  for (const CiSpec& ci : cis) index.emplace_back(p.domain(), ci);
+  if (index_.empty()) return q;
   for (size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-    for (const CiIndex& ix : index) q = IndexedCiProjection(q, ix);
-    double max_cmi = 0.0;
-    for (const CiIndex& ix : index) {
-      max_cmi = std::max(max_cmi, IndexedCmi(q, ix));
-    }
-    if (max_cmi <= tol) break;
+    for (const Index& ix : index_) q = IndexedCiProjection(q, ix);
+    if (MaxCmi(q) <= tol) break;
   }
   return q;
 }
 
-double MaxCmi(const JointDistribution& p, const std::vector<CiSpec>& cis) {
+double CiProjector::MaxCmi(const JointDistribution& p) const {
   double mx = 0.0;
-  for (const CiSpec& ci : cis) {
-    mx = std::max(mx, ConditionalMutualInformation(p, ci));
-  }
+  for (const Index& ix : index_) mx = std::max(mx, IndexedCmi(p, ix));
   return mx;
+}
+
+JointDistribution MultiCiProjection(const JointDistribution& p,
+                                    const std::vector<CiSpec>& cis,
+                                    size_t max_sweeps, double tol) {
+  return CiProjector(p.domain(), cis).Project(p, max_sweeps, tol);
+}
+
+double MaxCmi(const JointDistribution& p, const std::vector<CiSpec>& cis) {
+  return CiProjector(p.domain(), cis).MaxCmi(p);
 }
 
 }  // namespace otclean::prob

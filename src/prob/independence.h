@@ -59,6 +59,30 @@ JointDistribution MultiCiProjection(const JointDistribution& p,
 /// Largest CMI across a set of constraints (0 for an empty set).
 double MaxCmi(const JointDistribution& p, const std::vector<CiSpec>& cis);
 
+/// MultiCiProjection and MaxCmi over one fixed domain and constraint set,
+/// with each constraint's cell-index tables built once at construction
+/// instead of on every call — an iterative solver projects many
+/// distributions over the same domain. Results are bit-identical to the
+/// free functions (same sums, same order).
+class CiProjector {
+ public:
+  CiProjector(const Domain& domain, const std::vector<CiSpec>& cis);
+  ~CiProjector();
+
+  /// MultiCiProjection(p, cis, max_sweeps, tol); `p` must be over the
+  /// construction domain.
+  JointDistribution Project(const JointDistribution& p,
+                            size_t max_sweeps = 60, double tol = 1e-10) const;
+  /// MaxCmi(p, cis).
+  double MaxCmi(const JointDistribution& p) const;
+
+  /// One spec's cell-index tables (defined in independence.cc).
+  struct Index;
+
+ private:
+  std::vector<Index> index_;
+};
+
 }  // namespace otclean::prob
 
 #endif  // OTCLEAN_PROB_INDEPENDENCE_H_

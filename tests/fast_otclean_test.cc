@@ -4,8 +4,11 @@
 #include <limits>
 #include <string>
 
+#include "cleaning/noise.h"
 #include "core/fast_otclean.h"
+#include "core/repair.h"
 #include "core/solve_cache.h"
+#include "datagen/datasets.h"
 #include "linalg/thread_pool.h"
 #include "ot/cost.h"
 #include "prob/independence.h"
@@ -388,6 +391,115 @@ TEST(FastOtCleanTest, F32OuterLoopIsDeterministicAndTracksF64) {
       Rng r_f64(31);
       const auto ref = FastOtClean(p, ci, cost, f64, r_f64).value();
       EXPECT_NEAR(serial.transport_cost, ref.transport_cost, 1e-6);
+    }
+  }
+}
+
+// --- The outer loop's Anderson mixing ----------------------------------
+
+TEST(FastOtCleanMixingTest, CompasConvergesAtThePlainFixedPoint) {
+  // The plain loop stops at the 300-step cap here (TV delta 3.6e-5, cost
+  // 0.225940); uncapped it converges after 1723 steps at the reference
+  // cost below. Mixing reaches that fixed point within the default cap.
+  constexpr double kPlainFixedPointCost = 0.225473948;
+  const auto bundle = datagen::MakeCompas(3000, 907).value();
+  RepairOptions opts;
+  opts.fast.num_threads = 1;
+  const auto r = RepairTable(bundle.table, bundle.constraint, opts).value();
+  EXPECT_TRUE(r.converged);
+  EXPECT_LE(r.outer_iterations, 300u);
+  EXPECT_GT(r.mixed_outer_steps, 0u);
+  EXPECT_LE(r.transport_cost, kPlainFixedPointCost + 1e-6);
+  EXPECT_EQ(r.termination, std::string("ok"));
+}
+
+TEST(FastOtCleanMixingTest, CarNoiseTableConvergesToThePlainFixedPoint) {
+  // The attribute-noise repair of the integration test: uncapped inner
+  // solves at default options. The plain loop's fixed point costs
+  // 0.112771.
+  const auto bundle = datagen::MakeCar(2500, 901).value();
+  std::vector<size_t> even;
+  for (size_t r = 0; r < bundle.table.num_rows(); r += 2) even.push_back(r);
+  const dataset::Table train = bundle.table.SelectRows(even);
+  cleaning::AttributeNoiseOptions noise;
+  noise.target_col = train.schema().ColumnIndex("doors").value();
+  noise.driver_col = train.schema().ColumnIndex(bundle.label_col).value();
+  noise.rate = 0.8;
+  noise.seed = 902;
+  const auto dirty = cleaning::InjectAttributeNoise(train, noise).value();
+  RepairOptions opts;
+  opts.fast.num_threads = 1;
+  const auto r = RepairTable(dirty, bundle.constraint, opts).value();
+  EXPECT_TRUE(r.converged);
+  EXPECT_NEAR(r.transport_cost, 0.112771, 1e-6);
+}
+
+TEST(FastOtCleanMixingTest, RelaxedObjectiveNeverIncreasesAcrossSteps) {
+  // A run capped at k outer steps is the first k steps of the uncapped
+  // run, and returns the plan of its last accepted step (a rejected mix
+  // is rolled back). So J of the capped runs, in k, is J along the
+  // accepted steps — plain and mixed — and must never rise.
+  const auto p = MakeViolated(3);
+  const CiSpec ci{{0}, {1}, {2}};
+  ot::EuclideanCost cost(3);
+  FastOtCleanOptions opts;
+  opts.num_threads = 1;
+  double previous = std::numeric_limits<double>::infinity();
+  FastOtCleanResult last;
+  for (size_t cap = 1; cap <= 300 && !last.converged; ++cap) {
+    opts.max_outer_iterations = cap;
+    Rng rng(1);
+    last = FastOtClean(p, ci, cost, opts, rng).value();
+    EXPECT_LE(last.final_relaxed_objective, previous) << "cap " << cap;
+    previous = last.final_relaxed_objective;
+  }
+  EXPECT_TRUE(last.converged);
+  EXPECT_GT(last.mixed_outer_steps, 0u);
+  EXPECT_GT(last.rejected_mixes, 0u);  // the rollback path ran too
+}
+
+TEST(FastOtCleanMixingTest, MixedRepairsAreThreadAndCacheInvariant) {
+  const Domain d = Domain::FromCardinalities({3, 4, 5});
+  JointDistribution p(d);
+  Rng gen(21);
+  for (size_t i = 0; i < p.size(); ++i) p[i] = 0.05 + gen.NextDouble();
+  p.Normalize();
+  const CiSpec ci{{0}, {1}, {2}};
+  ot::EuclideanCost cost(3);
+  linalg::ThreadPool pool(4);
+
+  for (const double truncation : {0.0, 1e-3}) {
+    for (const bool log_domain : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "truncation=" << truncation
+                                        << " log_domain=" << log_domain);
+      FastOtCleanOptions opts;
+      opts.kernel_truncation = truncation;
+      opts.log_domain = log_domain;
+      opts.num_threads = 1;
+      Rng r_serial(31);
+      const auto serial = FastOtClean(p, ci, cost, opts, r_serial).value();
+      EXPECT_GT(serial.mixed_outer_steps, 0u);
+
+      FastOtCleanOptions pooled = opts;
+      pooled.num_threads = 4;
+      pooled.thread_pool = &pool;
+      Rng r_pooled(31);
+      const auto threaded = FastOtClean(p, ci, cost, pooled, r_pooled).value();
+      ExpectBitIdentical(serial, threaded);
+      EXPECT_EQ(serial.final_relaxed_objective,
+                threaded.final_relaxed_objective);
+
+      SolveCache cache;
+      FastOtCleanOptions cached = opts;
+      cached.solve_cache = &cache;
+      Rng r_miss(31), r_hit(31);
+      const auto miss = FastOtClean(p, ci, cost, cached, r_miss).value();
+      const auto hit = FastOtClean(p, ci, cost, cached, r_hit).value();
+      EXPECT_EQ(hit.cache_kernel_hits, 1u);
+      ExpectBitIdentical(miss, hit);
+      ExpectBitIdentical(serial, miss);
+      EXPECT_EQ(miss.mixed_outer_steps, hit.mixed_outer_steps);
+      EXPECT_EQ(miss.rejected_mixes, hit.rejected_mixes);
     }
   }
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "prob/domain.h"
 #include "prob/independence.h"
@@ -387,6 +389,34 @@ TEST(MultiCiProjectionTest, OneSpecRepeatsCiProjectionWhileZerosBlockIndependenc
   for (size_t i = 0; i < p.size(); ++i) {
     if (p[i] == 0.0) {
       EXPECT_EQ(many[i], 0.0) << i;
+    }
+  }
+}
+
+TEST(CiProjectorTest, ReusedTablesMatchTheOneShotFunctionsBitForBit) {
+  // One projector serves many distributions over its domain; each result
+  // equals the one-shot MultiCiProjection, and MaxCmi the largest
+  // per-spec CMI, bit for bit.
+  const Domain dom = Domain::FromCardinalities({2, 3, 2, 3});
+  const std::vector<CiSpec> cis = {{{0}, {1}, {2}}, {{0}, {3}, {}}};
+  const CiProjector projector(dom, cis);
+  Rng rng(12);
+  for (size_t trial = 0; trial < 3; ++trial) {
+    JointDistribution p(dom);
+    for (size_t i = 0; i < p.size(); ++i) {
+      p[i] = (i % 7 == trial) ? 0.0 : rng.NextDouble();
+    }
+    p.Normalize();
+    const JointDistribution q = projector.Project(p);
+    const JointDistribution ref = MultiCiProjection(p, cis);
+    for (size_t i = 0; i < p.size(); ++i) EXPECT_EQ(q[i], ref[i]) << i;
+    for (const JointDistribution* d : {&std::as_const(p), &q}) {
+      double max_cmi = 0.0;
+      for (const CiSpec& ci : cis) {
+        max_cmi = std::max(max_cmi, ConditionalMutualInformation(*d, ci));
+      }
+      EXPECT_EQ(projector.MaxCmi(*d), max_cmi);
+      EXPECT_EQ(MaxCmi(*d, cis), max_cmi);
     }
   }
 }

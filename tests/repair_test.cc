@@ -79,6 +79,37 @@ TEST(RepairTest, RepairRowPassesThroughMissing) {
   EXPECT_EQ(repairer.RepairRow(row, rng), row);
 }
 
+TEST(RepairTest, ApplyMatchesRepairRowWithMissingValues) {
+  // Apply repairs column-wise but draws from the RNG exactly as a
+  // RepairRow loop does, rows with a missing value included, in sampled
+  // and MAP mode alike.
+  auto table = MakeViolatingTable(400, 41);
+  for (size_t r = 0; r < table.num_rows(); r += 7) {
+    table.SetValue(r, r % 2 == 0 ? 0 : 2, dataset::kMissing);
+  }
+  for (size_t r = 3; r < table.num_rows(); r += 11) {
+    table.SetValue(r, 1, dataset::kMissing);
+  }
+  for (const bool sample : {true, false}) {
+    RepairOptions opts;
+    opts.sample_repair = sample;
+    OtCleanRepairer repairer(XyGivenZ(), opts);
+    ASSERT_TRUE(repairer.Fit(table).ok());
+    Rng apply_rng(9), row_rng(9);
+    const auto applied = repairer.Apply(table, apply_rng).value();
+    ASSERT_EQ(applied.num_rows(), table.num_rows());
+    size_t changed = 0;
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      const std::vector<int> expected =
+          repairer.RepairRow(table.Row(r), row_rng);
+      EXPECT_EQ(applied.Row(r), expected) << "row " << r;
+      changed += expected != table.Row(r);
+    }
+    EXPECT_GT(changed, 0u);
+    EXPECT_EQ(apply_rng.NextDouble(), row_rng.NextDouble());
+  }
+}
+
 TEST(RepairTest, UnsaturatedSaturationKeepsOtherColumnsFixed) {
   datagen::ScalingDatasetOptions gen;
   gen.num_rows = 500;

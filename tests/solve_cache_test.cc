@@ -471,16 +471,9 @@ TEST(SolveCacheRepairTest, HitStreamsNoCostAndMissStreamsEachCostOnce) {
       ASSERT_TRUE(miss.ok()) << miss.status().ToString();
       EXPECT_EQ(miss->cache_kernel_misses, 1u);
       // Outside the build: the truncated kernels gather their support costs
-      // once (nnz calls) and ⟨C, π⟩ reuses them; the dense linear kernel
-      // reads the cached materialized cost; the dense log kernel streams
-      // the whole cost for ⟨C, π⟩ at every outer step and for the final
-      // plan, hit or miss.
-      size_t outside_build = 0;
-      if (truncation > 0.0) {
-        outside_build = miss->kernel_nnz;
-      } else if (log_domain) {
-        outside_build = (miss->objective_trace.size() + 1) * cells * cells;
-      }
+      // once (nnz calls) and ⟨C, π⟩ reuses them; both dense kernels read
+      // the cost matrix their build materialized.
+      const size_t outside_build = truncation > 0.0 ? miss->kernel_nnz : 0;
       // The build streams every cost once.
       EXPECT_EQ(cost.TakeCalls(), cells * cells + outside_build)
           << "truncation " << truncation << " log " << log_domain;
@@ -489,11 +482,7 @@ TEST(SolveCacheRepairTest, HitStreamsNoCostAndMissStreamsEachCostOnce) {
       const auto hit = FastOtClean(p, ci, cost, opts, rng_hit);
       ASSERT_TRUE(hit.ok()) << hit.status().ToString();
       EXPECT_EQ(hit->cache_kernel_hits, 1u);
-      const size_t hit_outside =
-          truncation == 0.0 && log_domain
-              ? (hit->objective_trace.size() + 1) * cells * cells
-              : 0;
-      EXPECT_EQ(cost.TakeCalls(), hit_outside)
+      EXPECT_EQ(cost.TakeCalls(), 0u)
           << "truncation " << truncation << " log " << log_domain;
       EXPECT_EQ(hit->transport_cost, miss->transport_cost);
     }

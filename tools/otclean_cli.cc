@@ -334,6 +334,11 @@ void PrintReport(const core::CiConstraint& constraint,
                  "over-relaxation %.4f\n",
                  report.capped_inner_solves, report.final_outer_delta,
                  report.final_inner_tolerance, report.final_inner_omega);
+    std::fprintf(stderr,
+                 "  outer mixing: %zu mixed steps, %zu rolled back; final "
+                 "relaxed objective %.9g\n",
+                 report.mixed_outer_steps, report.rejected_mixes,
+                 report.final_relaxed_objective);
   }
   if (!report.anneal_stages.empty()) {
     std::string stages;
